@@ -9,8 +9,7 @@ where irrational amplitudes force them.
 """
 
 from .phases import (ExactPhase, PhaseMatrix, ONE, MINUS_ONE,
-                     phase_from_fraction, phase_mul, phase_pow, to_complex,
-                     root_of_unity, q_power, half_turn_power, matrix_mul)
+                     phase_from_fraction, q_power, half_turn_power)
 from .qdft import (QdftParams, GaussSumArgs, HadamardReport, fra_matrix,
                    hra_matrix, dra_matrix, forward, inverse, parseval_check,
                    gauss_sum, trace_fra, det_fra, is_generalized_hadamard)

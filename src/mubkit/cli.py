@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -52,6 +53,8 @@ def parse_rational(text: str) -> Union[int, Fraction, float]:
         value = float(text)
     except ValueError:
         raise UsageError(f"cannot parse rational or decimal value: {text!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"value must be finite, got {text!r}")
     print(f"warning: {text!r} is not rational; using the floating-point path",
           file=sys.stderr)
     return value
@@ -159,7 +162,6 @@ def _pretty_payload(payload: dict) -> str:
     kind = payload["type"]
     if kind == "phase_matrix":
         m = payload_to_matrix(payload)
-        width = 0
         cells = [[_pretty_phase(e, m.dim) for e in row] for row in m.entries]
         width = max(len(c) for row in cells for c in row)
         lines = [f"amplitude {payload['amplitude']}, entries as powers of "
@@ -204,8 +206,7 @@ def _pretty_payload(payload: dict) -> str:
 def _csv_payload(payload: dict) -> str:
     kind = payload["type"]
     if kind in ("phase_matrix", "complex_matrix"):
-        m = payload_to_matrix(payload)
-        arr = m.to_complex() if isinstance(m, PhaseMatrix) else m
+        arr = np.asarray(payload_to_matrix(payload), dtype=complex)
         d = arr.shape[1]
         header = ",".join(f"re{j},im{j}" for j in range(d))
         lines = [header]
@@ -230,7 +231,7 @@ def _csv_payload(payload: dict) -> str:
 
 def render_document(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if fmt == "csv":
         return _csv_payload(doc["payload"])
     if fmt == "pretty":
@@ -286,25 +287,18 @@ def cmd_matrix(args) -> tuple[dict, int]:
     return document("matrix", params, matrix_payload(m)), 0
 
 
-def _basis_payload(dim: int, label: str, matrix) -> dict:
-    return {"label": label, "matrix": matrix_payload(matrix)}
-
-
 def cmd_mub(args) -> tuple[dict, int]:
     r = parse_rational(args.r)
     exit_code = 0
     if args.dim4:
         ms = mub.mub_dim4()
         params = {"construction": "dim4"}
-        entries = [_basis_payload(4, b.label, b.vectors) for b in ms.bases]
     elif args.three_mub:
         if args.p is None:
             raise UsageError("--three-mub requires --p (the dimension)")
         ms = mub.mub_three(args.p, r, args.a)
         params = {"construction": "three", "p": args.p,
                   "r": _rational_tag(r), "a": args.a}
-        entries = _exact_basis_entries(ms, args.p, r, [args.a % args.p,
-                                                       (args.a + 1) % args.p])
     else:
         if args.p is None:
             raise UsageError("mub requires --p")
@@ -315,9 +309,10 @@ def cmd_mub(args) -> tuple[dict, int]:
                 f"composite dimension")
         ms = mub.mub_prime(args.p, r)
         params = {"construction": "prime", "p": args.p, "r": _rational_tag(r)}
-        entries = _exact_basis_entries(ms, args.p, r, list(range(args.p)))
     payload = {"type": "basis_set", "dim": ms.dim,
-               "complete": ms.declared_complete, "bases": entries}
+               "complete": ms.declared_complete,
+               "bases": [{"label": b.label, "matrix": matrix_payload(b.matrix)}
+                         for b in ms.bases]}
     if args.verify:
         checks = []
         for i, b1 in enumerate(ms.bases):
@@ -336,20 +331,6 @@ def cmd_mub(args) -> tuple[dict, int]:
         if not all_ok:
             exit_code = 1
     return document("mub", params, payload), exit_code
-
-
-def _exact_basis_entries(ms, d: int, r, fourier_labels: list[int]) -> list[dict]:
-    """Emit Fourier bases as exact phase matrices when r is rational."""
-    entries = []
-    fourier_iter = iter(fourier_labels)
-    for basis in ms.bases:
-        if basis.label == "computational":
-            entries.append(_basis_payload(d, basis.label, PhaseMatrix.identity(d)))
-        else:
-            a = next(fourier_iter)
-            h = qdft.hra_matrix(d, r, a)
-            entries.append(_basis_payload(d, basis.label, h))
-    return entries
 
 
 def cmd_verify(args) -> tuple[dict, int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 from typing import Union
 
@@ -48,11 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Basis:
-    """Orthonormal basis stored as the columns of ``vectors``."""
+    """Orthonormal basis: the columns of the matrix it was built from.
+
+    ``matrix`` keeps that matrix as built (a PhaseMatrix when exact, else
+    an ndarray); ``vectors`` is its dense complex view.
+    """
 
     dim: int
-    vectors: np.ndarray
+    matrix: Union[PhaseMatrix, np.ndarray]
     label: str
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return np.asarray(self.matrix, dtype=complex)
 
     def column(self, i: int) -> np.ndarray:
         return self.vectors[:, i]
@@ -82,13 +91,11 @@ def is_prime(n: int) -> bool:
 
 
 def _computational_basis(d: int) -> Basis:
-    return Basis(d, np.eye(d, dtype=complex), "computational")
+    return Basis(d, PhaseMatrix.identity(d), "computational")
 
 
 def _fourier_basis(d: int, r: Real, a: int) -> Basis:
-    h = hra_matrix(d, r, a)
-    vectors = h.to_complex() if isinstance(h, PhaseMatrix) else h
-    return Basis(d, vectors, f"r={r},a={a}")
+    return Basis(d, hra_matrix(d, r, a), f"r={r},a={a}")
 
 
 def mub_prime(p: int, r: Real = 0) -> MubSet:
@@ -158,10 +165,8 @@ def product_hadamard(p: int, r: Real, a: int, b: int):
     """
     if (a - b) % p == 0:
         raise ValueError("labels a and b must differ")
-    fa = fra_matrix(p, r, a)
-    fb = fra_matrix(p, r, b)
-    fa = fa.to_complex() if isinstance(fa, PhaseMatrix) else fa
-    fb = fb.to_complex() if isinstance(fb, PhaseMatrix) else fb
+    fa = np.asarray(fra_matrix(p, r, a), dtype=complex)
+    fb = np.asarray(fra_matrix(p, r, b), dtype=complex)
     prod = fa.conj().T @ fb
     return prod, is_generalized_hadamard(prod)
 

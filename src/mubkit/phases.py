@@ -26,10 +26,6 @@ __all__ = [
     "ONE",
     "MINUS_ONE",
     "phase_from_fraction",
-    "phase_mul",
-    "phase_pow",
-    "to_complex",
-    "root_of_unity",
     "q_power",
     "half_turn_power",
     "is_rational",
@@ -109,23 +105,6 @@ def phase_from_fraction(num: int, den: int) -> ExactPhase:
     if den <= 0:
         raise ValueError("denominator must be a positive integer")
     return ExactPhase(Fraction(num, den))
-
-
-def phase_mul(p: ExactPhase, q: ExactPhase) -> ExactPhase:
-    return p * q
-
-
-def phase_pow(p: ExactPhase, k: int) -> ExactPhase:
-    return p ** k
-
-
-def to_complex(p: ExactPhase) -> complex:
-    return p.to_complex()
-
-
-def root_of_unity(d: int, k: int = 1) -> ExactPhase:
-    """exp(2*pi*i*k/d), the k-th power of the principal d-th root of unity."""
-    return phase_from_fraction(k, d)
 
 
 def q_power(d: int, exponent: Rational) -> ExactPhase:
@@ -253,8 +232,6 @@ class PhaseMatrix:
         sum of phases or when both amplitudes are 1/sqrt(dim) (the product
         amplitude 1/dim is outside the symbolic tags).
         """
-        if isinstance(other, np.ndarray):
-            return self.to_complex() @ other
         if not isinstance(other, PhaseMatrix):
             return NotImplemented
         if self.dim != other.dim:
@@ -280,11 +257,6 @@ class PhaseMatrix:
                     out[j] = aik * bkj
         return PhaseMatrix(result, self.scaled or other.scaled)
 
-    def __rmatmul__(self, other):
-        if isinstance(other, np.ndarray):
-            return other @ self.to_complex()
-        return NotImplemented
-
     def dagger(self) -> "PhaseMatrix":
         d = self.dim
         rows = [[None if self.entries[j][i] is None else self.entries[j][i].conjugate()
@@ -309,6 +281,10 @@ class PhaseMatrix:
 
     # -- numeric views ---------------------------------------------------
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """Dense view, so np.asarray(m, dtype=complex), m @ ndarray and ndarray @ m work."""
+        return self.to_complex()
+
     def to_complex(self) -> np.ndarray:
         amp = self.amplitude
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -325,11 +301,6 @@ class PhaseMatrix:
         if total is None:
             total = sum(p.to_complex() for p in present)
         return self.amplitude * total
-
-
-def matrix_mul(a: PhaseMatrix, b: PhaseMatrix):
-    """Product of two phase matrices; exact when monomial structure survives."""
-    return a @ b
 
 
 def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:

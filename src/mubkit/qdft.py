@@ -78,81 +78,59 @@ class GaussSumArgs:
             raise ValueError("w must be nonzero")
 
 
-def _exact_matrix(p: QdftParams, exponent) -> PhaseMatrix:
-    return PhaseMatrix.from_exponents(p.d, exponent, scaled=True)
+def _row_phases(p: QdftParams) -> list:
+    """row(n) = n(d-n)a/2 + (d-1)^2 r/4 - n(d-1)r/2 for n = 0..d-1.
 
-
-def _float_matrix(p: QdftParams, exponent) -> np.ndarray:
+    Written with Fraction literals: rational r keeps every value exact, a
+    float r turns them into floats.
+    """
     d = p.d
-    out = np.empty((d, d), dtype=complex)
+    r = as_fraction(p.r) if p.exact else float(p.r)
+    return [Fraction(n * (d - n) * p.a, 2) + Fraction((d - 1) ** 2, 4) * r
+            - n * Fraction(d - 1, 2) * r for n in range(d)]
+
+
+def _fra_exponent(p: QdftParams):
+    """(n, m) -> row(n) + nm, the exponent of (F_ra)_{nm}."""
+    row = _row_phases(p)
+    return lambda n, m: row[n] + n * m
+
+
+def _build(p: QdftParams, exponent, scaled: bool = True) -> Union[PhaseMatrix, np.ndarray]:
+    """Entries q**exponent(i, j), times 1/sqrt(d) when scaled; None is zero.
+
+    Exact phases for rational r, a dense complex array otherwise.
+    """
+    if p.exact:
+        return PhaseMatrix.from_exponents(p.d, exponent, scaled)
+    d = p.d
+    out = np.zeros((d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
-            out[i, j] = cmath.exp(2j * pi * exponent(i, j) / d)
-    return out / sqrt(d)
+            e = exponent(i, j)
+            if e is not None:
+                out[i, j] = cmath.exp(2j * pi * e / d)
+    return out / sqrt(d) if scaled else out
 
 
 def fra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
     """Quadratic Fourier matrix F_ra; exact for rational r."""
     p = QdftParams(d, r, a)
-    if p.exact:
-        rr = as_fraction(p.r)
-        half_dr = Fraction(p.d - 1, 2) * rr
-
-        def expo(n, m):
-            return (Fraction(n * (p.d - n) * p.a, 2)
-                    + Fraction((p.d - 1) ** 2, 4) * rr
-                    + n * (m - half_dr))
-
-        return _exact_matrix(p, expo)
-    rf = float(p.r)
-    return _float_matrix(
-        p, lambda n, m: n * (p.d - n) * p.a / 2 + (p.d - 1) ** 2 * rf / 4
-        + n * (m - (p.d - 1) * rf / 2))
+    return _build(p, _fra_exponent(p))
 
 
 def hra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
     """Row-reversed companion of F_ra; its columns are the transformed basis."""
     p = QdftParams(d, r, a)
-    if p.exact:
-        rr = as_fraction(p.r)
-        half_dr = Fraction(p.d - 1, 2) * rr
-
-        def expo(n, al):
-            return (Fraction((p.d - 1 - n) * (n + 1) * p.a, 2)
-                    + Fraction((p.d - 1) ** 2, 4) * rr
-                    + (p.d - 1 - n) * (al - half_dr))
-
-        return _exact_matrix(p, expo)
-    rf = float(p.r)
-    return _float_matrix(
-        p, lambda n, al: (p.d - 1 - n) * (n + 1) * p.a / 2
-        + (p.d - 1) ** 2 * rf / 4 + (p.d - 1 - n) * (al - (p.d - 1) * rf / 2))
+    fra = _fra_exponent(p)
+    return _build(p, lambda n, alpha: fra(p.d - 1 - n, alpha))
 
 
 def dra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
-    """Diagonal Gaussian factor with F_ra = D_ra @ F."""
+    """Diagonal Gaussian factor with F_ra = D_ra @ F; its entries are the row phases."""
     p = QdftParams(d, r, a)
-    if p.exact:
-        rr = as_fraction(p.r)
-
-        def expo(m, n):
-            if m != n:
-                return None
-            return (Fraction(m * (p.d - m) * p.a, 2)
-                    + Fraction((p.d - 1) ** 2, 4) * rr
-                    - m * Fraction(p.d - 1, 2) * rr)
-
-        return PhaseMatrix.from_exponents(p.d, expo, scaled=False)
-    rf = float(p.r)
-    diag = [cmath.exp(2j * pi * (m * (p.d - m) * p.a / 2
-                                 + (p.d - 1) ** 2 * rf / 4
-                                 - m * (p.d - 1) * rf / 2) / p.d)
-            for m in range(p.d)]
-    return np.diag(diag)
-
-
-def _as_array(m) -> np.ndarray:
-    return m.to_complex() if isinstance(m, PhaseMatrix) else np.asarray(m, dtype=complex)
+    row = _row_phases(p)
+    return _build(p, lambda m, n: row[m] if m == n else None, scaled=False)
 
 
 def forward(x, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
@@ -160,7 +138,7 @@ def forward(x, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (d,):
         raise ValueError(f"signal must have length {d}")
-    return _as_array(fra_matrix(d, r, a)).T @ x
+    return np.asarray(fra_matrix(d, r, a), dtype=complex).T @ x
 
 
 def inverse(y, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
@@ -168,7 +146,7 @@ def inverse(y, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if y.shape != (d,):
         raise ValueError(f"signal must have length {d}")
-    return _as_array(fra_matrix(d, r, a)).conj() @ y
+    return np.asarray(fra_matrix(d, r, a), dtype=complex).conj() @ y
 
 
 def parseval_check(x, xp, d: int, r: Real = 0, a: int = 0) -> tuple[complex, complex]:
@@ -204,7 +182,7 @@ def trace_fra(d: int, r: Real = 0, a: int = 0) -> complex:
 def det_fra(d: int, a: int) -> complex:
     """det F_0a = exp(i*pi*(d^2-1)a/6) det F, with det F evaluated numerically."""
     p = QdftParams(d, 0, a)
-    det_f = complex(np.linalg.det(_as_array(fra_matrix(p.d))))
+    det_f = complex(np.linalg.det(np.asarray(fra_matrix(p.d), dtype=complex)))
     return cmath.exp(1j * pi * (p.d * p.d - 1) * p.a / 6) * det_f
 
 
@@ -228,7 +206,7 @@ class HadamardReport:
 
 def is_generalized_hadamard(m, tol: float = 1e-10) -> HadamardReport:
     """True iff m is unitary and every entry has modulus 1/sqrt(d)."""
-    arr = _as_array(m)
+    arr = np.asarray(m, dtype=complex)
     n, nc = arr.shape
     if n != nc:
         raise ValueError("matrix must be square")

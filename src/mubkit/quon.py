@@ -229,6 +229,13 @@ def su2_generators(j: Real, r: Real = 0, a: int = 0) -> Su2Triple:
     return Su2Triple(h @ v, v.conj().T @ h, (h2 - v.conj().T @ h2 @ v) / 2, r, a % k)
 
 
+def _q(d: int, e) -> complex:
+    """q**e for q = exp(2*pi*i/d): an exact phase for rational e, else cmath."""
+    if is_rational(e):
+        return q_power(d, e).to_complex()
+    return cmath.exp(2j * pi * e / d)
+
+
 def eigenbasis(j: Real, r: Real = 0, a: int = 0) -> list[np.ndarray]:
     """Common eigenvectors of the Casimir and v_ra, in computational order.
 
@@ -240,23 +247,15 @@ def eigenbasis(j: Real, r: Real = 0, a: int = 0) -> list[np.ndarray]:
     two_j = _two_j(j)
     d = two_j + 1
     a = a % d
-    exact = is_rational(r)
-    rr = as_fraction(r) if exact else float(r)
+    rr = as_fraction(r) if is_rational(r) else float(r)
     out = []
     for alpha in range(d):
         vec = np.zeros(d, dtype=complex)
         for n in range(d):
             # j+m = 2j-n, j-m+1 = n+1, jm = (2j)(2j-2n)/4
-            if exact:
-                e = (Fraction((two_j - n) * (n + 1) * a, 2)
-                     - Fraction(two_j * (two_j - 2 * n), 4) * rr
-                     + (two_j - n) * alpha)
-                vec[n] = q_power(d, e).to_complex()
-            else:
-                e = ((two_j - n) * (n + 1) * a / 2
-                     - two_j * (two_j - 2 * n) / 4 * rr
-                     + (two_j - n) * alpha)
-                vec[n] = cmath.exp(2j * pi * e / d)
+            vec[n] = _q(d, Fraction((two_j - n) * (n + 1) * a, 2)
+                        - Fraction(two_j * (two_j - 2 * n), 4) * rr
+                        + (two_j - n) * alpha)
         out.append(vec / sqrt(d))
     return out
 
@@ -265,9 +264,8 @@ def eigenvalue_vra(j: Real, r: Real, a: int, alpha: int) -> complex:
     """Eigenvalue q^{j(r+a) - alpha} of v_ra on eigenvector alpha."""
     two_j = _two_j(j)
     d = two_j + 1
-    if is_rational(r):
-        return q_power(d, Fraction(two_j, 2) * (as_fraction(r) + (a % d)) - alpha).to_complex()
-    return cmath.exp(2j * pi * (two_j / 2 * (float(r) + (a % d)) - alpha) / d)
+    rr = as_fraction(r) if is_rational(r) else float(r)
+    return _q(d, Fraction(two_j, 2) * (rr + (a % d)) - alpha)
 
 
 def overlap_same_a(j: Real, r: Real, s: Real, a: int, alpha: int, beta: int) -> complex:
@@ -287,11 +285,7 @@ def overlap_same_a(j: Real, r: Real, s: Real, a: int, alpha: int, beta: int) -> 
         ratio = d * (-1) ** (two_j * t)
     else:
         ratio = cmath.sin(pi * x).real / den
-    if is_rational(r) and is_rational(s):
-        phase = q_power(d, Fraction(two_j, 2) * (beta - alpha)).to_complex()
-    else:
-        phase = cmath.exp(1j * pi * two_j * (beta - alpha) / d)
-    return phase * ratio / d
+    return _q(d, Fraction(two_j, 2) * (beta - alpha)) * ratio / d
 
 
 def rotation_conjugation_residual(j: Real, r: Real, a: int, p: int) -> float:

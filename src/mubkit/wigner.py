@@ -38,6 +38,13 @@ def _check_pair(two_j: int, two_m: int) -> None:
         raise ValueError(f"projection 2m={two_m} invalid for 2j={two_j}")
 
 
+def _check_alphas(*pairs: tuple[int, int]) -> None:
+    """Every (two_j, alpha) pair must have alpha in 0..2j."""
+    for two_j, alpha in pairs:
+        if not 0 <= alpha <= two_j:
+            raise ValueError(f"alpha must lie in 0..2j, got {alpha}")
+
+
 def _triangle_ok(two_j1: int, two_j2: int, two_j3: int) -> bool:
     if (two_j1 + two_j2 + two_j3) % 2 != 0:
         return False
@@ -110,7 +117,9 @@ def cg_alpha(two_j1: int, two_j2: int, alpha1: int, alpha2: int,
     Triple sum of the magnetic coefficients weighted by
     (q1)^{-(j1+m1)a1} (q2)^{-(j2+m2)a2} (q3)^{+(j3+m3)a3} and normalized
     by sqrt((2j1+1)(2j2+1)(2j3+1)).  Zero outside the triangle rule.
+    Each alpha_k must lie in 0..2j_k.
     """
+    _check_alphas((two_j1, alpha1), (two_j2, alpha2), (two_j3, alpha3))
     if not _triangle_ok(two_j1, two_j2, two_j3):
         return 0j
     norm = 1.0 / sqrt((two_j1 + 1) * (two_j2 + 1) * (two_j3 + 1))
@@ -136,8 +145,9 @@ def fbar(two_j1: int, two_j2: int, two_j3: int,
 
     Triple sum of 3-jm values against (q_k)^{-(j_k+m_k) alpha_k} for
     k = 1, 2, 3, normalized by sqrt(prod(2j_k+1)); zero outside the
-    triangle rule.
+    triangle rule.  Each alpha_k must lie in 0..2j_k.
     """
+    _check_alphas((two_j1, alpha1), (two_j2, alpha2), (two_j3, alpha3))
     if not _triangle_ok(two_j1, two_j2, two_j3):
         return 0j
     norm = 1.0 / sqrt((two_j1 + 1) * (two_j2 + 1) * (two_j3 + 1))
@@ -165,8 +175,9 @@ def fbar_conjugation_factor(two_j1: int, two_j2: int, two_j3: int,
 
     The alpha phases enter inverted (substituting m -> -m flips each
     (j+m) alpha weight by the full-period phase (q_k)^{2 j_k alpha_k},
-    which equals (q_k)^{-alpha_k}).
+    which equals (q_k)^{-alpha_k}).  Each alpha_k must lie in 0..2j_k.
     """
+    _check_alphas((two_j1, alpha1), (two_j2, alpha2), (two_j3, alpha3))
     sign = (-1) ** ((two_j1 + two_j2 + two_j3) // 2)
     return (sign
             * q_power(two_j1 + 1, -alpha1).to_complex()
@@ -177,6 +188,5 @@ def fbar_conjugation_factor(two_j1: int, two_j2: int, two_j3: int,
 def basis_change_coeff(two_j: int, two_m: int, alpha: int) -> complex:
     """<j, m | j alpha> = q^{(j+m) alpha} / sqrt(2j+1)."""
     _check_pair(two_j, two_m)
-    if not 0 <= alpha <= two_j:
-        raise ValueError(f"alpha must lie in 0..2j, got {alpha}")
+    _check_alphas((two_j, alpha))
     return _alpha_phase(two_j, two_m, alpha, +1) / sqrt(two_j + 1)

@@ -194,6 +194,48 @@ def test_fbar_half_integer_spins(capsys):
     assert doc["payload"]["parity_ok"] is True
 
 
+def test_fbar_alpha_out_of_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "fbar", "--j", "1,1,1", "--alpha", "0,1,9",
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "alpha must lie in 0..2j" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "fra", "--d", "3", "--r", "nan"),
+    ("matrix", "fra", "--d", "3", "--r", "inf"),
+    ("gauss", "--u", "1", "--v=-inf", "--w", "3"),
+])
+def test_non_finite_parameter_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_json_rendering_refuses_nan():
+    doc = {"payload": {"type": "complex_scalar", "value": [float("nan"), 0.0]}}
+    with pytest.raises(ValueError):
+        render_document(doc, "json")
+
+
+def test_mub_builds_each_hra_once(capsys, monkeypatch):
+    from mubkit import mub, qdft
+    calls = []
+    real = qdft.hra_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qdft, "hra_matrix", counted)
+    monkeypatch.setattr(mub, "hra_matrix", counted)
+    code, _, _ = run(capsys, "mub", "--p", "7", "--r", "1/3", "--format", "json")
+    assert code == 0
+    assert len(calls) == 7
+
+
 def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["matrix", "nosuchkind", "--d", "3"])

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from mubkit.phases import (ExactPhase, PhaseMatrix, ONE, MINUS_ONE,
-                           phase_from_fraction, phase_mul, phase_pow,
-                           to_complex, q_power, matrix_mul, trace_pair)
+                           phase_from_fraction, q_power, trace_pair)
 from mubkit.qdft import fra_matrix
 from mubkit.weyl import x_matrix, z_matrix
 
@@ -32,36 +31,36 @@ def test_from_fraction_rejects_zero_denominator():
 
 
 def test_mul_full_turn():
-    assert phase_mul(phase_from_fraction(1, 3), phase_from_fraction(2, 3)) == ONE
+    assert phase_from_fraction(1, 3) * phase_from_fraction(2, 3) == ONE
 
 
 def test_mul_i_squared():
     i = phase_from_fraction(1, 4)
-    assert phase_mul(i, i) == MINUS_ONE
+    assert i * i == MINUS_ONE
 
 
 def test_mul_rational_addition():
-    got = phase_mul(phase_from_fraction(1, 6), phase_from_fraction(1, 2))
+    got = phase_from_fraction(1, 6) * phase_from_fraction(1, 2)
     assert got.turns == Fraction(1, 6) + Fraction(1, 2)  # 2/3
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
 def test_pow_dth_power_of_root(d):
-    assert phase_pow(phase_from_fraction(1, d), d) == ONE
+    assert phase_from_fraction(1, d) ** d == ONE
 
 
 def test_pow_inverse():
-    assert phase_pow(phase_from_fraction(1, 3), -1).turns == Fraction(2, 3)
+    assert (phase_from_fraction(1, 3) ** -1).turns == Fraction(2, 3)
 
 
 def test_pow_wraps():
-    assert phase_pow(phase_from_fraction(1, 5), 7).turns == Fraction(2, 5)
+    assert (phase_from_fraction(1, 5) ** 7).turns == Fraction(2, 5)
 
 
 def test_to_complex_special_values():
-    assert to_complex(ExactPhase(0)) == 1
-    assert to_complex(phase_from_fraction(1, 4)) == 1j
-    third = to_complex(phase_from_fraction(1, 3))
+    assert ExactPhase(0).to_complex() == 1
+    assert phase_from_fraction(1, 4).to_complex() == 1j
+    third = phase_from_fraction(1, 3).to_complex()
     assert abs(third - complex(-0.5, np.sqrt(3) / 2)) < 1e-15
 
 
@@ -70,7 +69,7 @@ def test_to_complex_unit_modulus():
     for _ in range(500):
         den = rng.randrange(1, 400)
         num = rng.randrange(0, den)
-        assert abs(abs(to_complex(ExactPhase(Fraction(num, den)))) - 1.0) < 1e-15
+        assert abs(abs(ExactPhase(Fraction(num, den)).to_complex()) - 1.0) < 1e-15
 
 
 def test_mul_commutative_associative():
@@ -84,8 +83,8 @@ def test_mul_commutative_associative():
 
 def test_pow_zero_and_period():
     p = phase_from_fraction(3, 7)
-    assert phase_pow(p, 0) == ONE
-    assert phase_pow(p, p.turns.denominator) == ONE
+    assert p ** 0 == ONE
+    assert p ** p.turns.denominator == ONE
 
 
 def test_immutable():
@@ -98,7 +97,7 @@ def test_immutable():
 
 def test_matrix_mul_shift_times_inverse_is_identity():
     x = x_matrix(3)
-    assert matrix_mul(x, x.dagger()) == PhaseMatrix.identity(3)
+    assert x @ x.dagger() == PhaseMatrix.identity(3)
 
 
 def test_matrix_mul_weyl_commutation_d3():
@@ -143,6 +142,16 @@ def test_to_complex_matches_entries():
     arr = z.to_complex()
     assert arr[2, 2] == pytest.approx(np.exp(2j * np.pi * 2 / 6))
     assert arr[0, 1] == 0
+
+
+def test_dense_view_and_mixed_products():
+    f = fra_matrix(5, Fraction(1, 3), 2)
+    arr = np.asarray(f, dtype=complex)
+    assert arr.dtype == complex
+    assert np.array_equal(arr, f.to_complex())
+    dense = np.arange(25, dtype=complex).reshape(5, 5)
+    assert np.array_equal(dense @ f, dense @ f.to_complex())
+    assert np.array_equal(f @ dense, f.to_complex() @ dense)
 
 
 def test_trace_exact_zero_for_balanced_phases():

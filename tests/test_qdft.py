@@ -273,3 +273,27 @@ def test_params_validation():
     assert QdftParams(5, 0, 7).a == 2
     assert QdftParams(5, Fraction(1, 2)).exact
     assert not QdftParams(5, 0.25).exact
+
+
+EVALUATOR_RS = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@pytest.mark.parametrize("r", EVALUATOR_RS)
+def test_float_evaluator_matches_exact(d, r):
+    for a in range(d):
+        for build in (fra_matrix, hra_matrix, dra_matrix):
+            exact = build(d, r, a)
+            dense = build(d, float(r), a)
+            assert isinstance(exact, PhaseMatrix) and isinstance(dense, np.ndarray)
+            assert np.max(np.abs(dense - np.asarray(exact, dtype=complex))) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@pytest.mark.parametrize("r", EVALUATOR_RS)
+def test_hra_is_fra_with_rows_reversed(d, r):
+    for a in range(d):
+        assert hra_matrix(d, r, a).entries == fra_matrix(d, r, a).entries[::-1]
+        dense_h = hra_matrix(d, float(r), a)
+        dense_f = fra_matrix(d, float(r), a)
+        assert np.max(np.abs(dense_h - dense_f[::-1])) < 1e-12

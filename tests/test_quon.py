@@ -243,6 +243,19 @@ def test_eigenbasis_orthonormal():
             assert abs(np.vdot(u, w) - want) < 1e-13
 
 
+@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("r", [Fraction(1, 3), Fraction(2, 5), Fraction(3, 2)])
+def test_float_evaluator_matches_exact(k, r):
+    j = j_of(k)
+    for a in range(k):
+        exact = eigenbasis(j, r, a)
+        dense = eigenbasis(j, float(r), a)
+        assert np.max(np.abs(np.array(dense) - np.array(exact))) < 1e-12
+        for alpha in range(k):
+            assert abs(eigenvalue_vra(j, float(r), a, alpha)
+                       - eigenvalue_vra(j, r, a, alpha)) < 1e-12
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_eigenvalue_equation(k):
     j = j_of(k)

@@ -121,6 +121,17 @@ def test_basis_change_range_check():
         basis_change_coeff(2, 0, 3)
 
 
+@pytest.mark.parametrize("alphas", [(0, 1, 3), (-1, 0, 0), (0, 3, 0)])
+def test_alpha_range_check(alphas):
+    a1, a2, a3 = alphas
+    with pytest.raises(ValueError):
+        fbar(2, 2, 2, a1, a2, a3)
+    with pytest.raises(ValueError):
+        cg_alpha(2, 2, a1, a2, 2, a3)
+    with pytest.raises(ValueError):
+        fbar_conjugation_factor(2, 2, 2, a1, a2, a3)
+
+
 def cg_alpha_via_basis_change(tj1, tj2, a1, a2, tj3, a3):
     """Independent route: transform the magnetic coefficients with the
     explicit unitary basis change."""
