@@ -8,7 +8,8 @@ emit -> parse -> emit is byte-identical), ``csv`` (re/im pair columns,
 row-major) and ``pretty`` (entries rendered as powers of q).  The
 ``MUBKIT_FORMAT`` environment variable sets the default format.
 
-Exit codes: 0 success, 1 a requested verification failed, 2 usage error.
+Exit codes: 0 success, 1 a requested verification failed, 2 usage error,
+including input beyond the resource and accuracy bounds below.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -33,8 +35,27 @@ FORMATS = ("json", "csv", "pretty")
 __all__ = ["main", "render_document", "parse_document", "payload_to_matrix"]
 
 
+# Bounds on input; a command beyond them exits 2 and names the reason.
+# Matrix entries one response may hold: d^2 for `matrix`, (p+1) p^2 for
+# `mub`.  10^6 entries is a JSON document of about 20 MB; it admits
+# `matrix --d 1000` and `mub --p 97`.
+MAX_PAYLOAD_ENTRIES = 10 ** 6
+# `gauss` adds its |w| terms one at a time.
+MAX_GAUSS_TERMS = 10 ** 7
+# `fbar` sums 3-jm symbols in floating point.  Against sympy's exact
+# wigner_3j at j1 = j2 = j3 = j their error grows from about 3e-13 at
+# j = 20 to 7e-11 at j = 30 and 2e-9 at j = 40.
+MAX_FBAR_TWO_J = 40
+
+
 class UsageError(Exception):
     pass
+
+
+def _check_entries(count: int, what: str) -> None:
+    if count > MAX_PAYLOAD_ENTRIES:
+        raise UsageError(f"{what} would emit {count} matrix entries; the limit "
+                         f"is {MAX_PAYLOAD_ENTRIES}, to bound time and memory")
 
 
 # -- parameter parsing --------------------------------------------------------
@@ -82,18 +103,18 @@ def parse_half_integers(text: str) -> list[int]:
 
 # -- payloads ------------------------------------------------------------------
 
-def _phase_pair(e: Optional[ExactPhase]):
-    if e is None:
-        return None
-    return [e.turns.numerator, e.turns.denominator]
-
-
 def phase_matrix_payload(m: PhaseMatrix) -> dict:
+    """Entries as reduced [numerator, denominator] turn pairs, None for zero."""
+    e, mask = m.exponents, m.mask
+    g = np.gcd(e, m.modulus)
+    nums, dens = (e // g).tolist(), (m.modulus // g).tolist()
     return {
         "type": "phase_matrix",
         "dim": m.dim,
         "amplitude": m.amplitude_tag,
-        "entries": [[_phase_pair(e) for e in row] for row in m.entries],
+        "entries": [[[num, den] if present else None
+                     for num, den, present in zip(*row)]
+                    for row in zip(nums, dens, mask.tolist())],
     }
 
 
@@ -140,10 +161,10 @@ def document(command: str, params: dict, payload: dict) -> dict:
 
 # -- rendering -----------------------------------------------------------------
 
-def _pretty_phase(e: Optional[ExactPhase], dim: int) -> str:
-    if e is None:
+def _pretty_phase(pair: Optional[list], dim: int) -> str:
+    if pair is None:
         return "."
-    t = e.turns
+    t = Fraction(*pair)
     if t == 0:
         return "1"
     scaled = t * dim
@@ -161,11 +182,11 @@ def _pretty_complex(v: complex) -> str:
 def _pretty_payload(payload: dict) -> str:
     kind = payload["type"]
     if kind == "phase_matrix":
-        m = payload_to_matrix(payload)
-        cells = [[_pretty_phase(e, m.dim) for e in row] for row in m.entries]
+        dim = payload["dim"]
+        cells = [[_pretty_phase(pair, dim) for pair in row] for row in payload["entries"]]
         width = max(len(c) for row in cells for c in row)
         lines = [f"amplitude {payload['amplitude']}, entries as powers of "
-                 f"q = e(1/{m.dim}):"]
+                 f"q = e(1/{dim}):"]
         lines += ["  ".join(c.rjust(width) for c in row) for row in cells]
         return "\n".join(lines)
     if kind == "complex_matrix":
@@ -251,6 +272,7 @@ def cmd_matrix(args) -> tuple[dict, int]:
     d = args.d
     if d is None or d < 2:
         raise UsageError("matrix requires --d of at least 2")
+    _check_entries(d * d, f"matrix --d {d}")
     r = parse_rational(args.r)
     need_rational = kind in ("vra", "pr", "t", "uab", "x", "z")
     if need_rational and isinstance(r, float):
@@ -296,6 +318,7 @@ def cmd_mub(args) -> tuple[dict, int]:
     elif args.three_mub:
         if args.p is None:
             raise UsageError("--three-mub requires --p (the dimension)")
+        _check_entries(3 * args.p * args.p, f"mub --three-mub --p {args.p}")
         ms = mub.mub_three(args.p, r, args.a)
         params = {"construction": "three", "p": args.p,
                   "r": _rational_tag(r), "a": args.a}
@@ -307,6 +330,7 @@ def cmd_mub(args) -> tuple[dict, int]:
                 f"p = {args.p} is not prime, so a complete set is not "
                 f"guaranteed; use --three-mub for the guaranteed triple in "
                 f"composite dimension")
+        _check_entries((args.p + 1) * args.p * args.p, f"mub --p {args.p}")
         ms = mub.mub_prime(args.p, r)
         params = {"construction": "prime", "p": args.p, "r": _rational_tag(r)}
     payload = {"type": "basis_set", "dim": ms.dim,
@@ -345,6 +369,9 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_gauss(args) -> tuple[dict, int]:
     v = parse_rational(args.v)
+    if abs(args.w) > MAX_GAUSS_TERMS:
+        raise UsageError(f"|w| = {abs(args.w)} exceeds {MAX_GAUSS_TERMS}: the sum "
+                         f"adds |w| terms one by one, so the run time grows with |w|")
     value = qdft.gauss_sum(args.u, v, args.w)
     params = {"u": args.u, "v": _rational_tag(v), "w": args.w}
     return document("gauss", params, scalar_payload(value)), 0
@@ -396,6 +423,10 @@ def cmd_fbar(args) -> tuple[dict, int]:
     alphas = [int(a) for a in args.alpha.split(",")]
     if len(two_js) != 3 or len(alphas) != 3:
         raise UsageError("--j and --alpha each need exactly three entries")
+    if max(two_js) > MAX_FBAR_TWO_J:
+        raise UsageError(f"2j = {max(two_js)} exceeds {MAX_FBAR_TWO_J}: the "
+                         f"floating-point 3-jm sums lose accuracy beyond j = "
+                         f"{MAX_FBAR_TWO_J // 2}")
     tj1, tj2, tj3 = two_js
     a1, a2, a3 = alphas
     value = wigner.fbar(tj1, tj2, tj3, a1, a2, a3)
@@ -412,8 +443,19 @@ def cmd_fbar(args) -> tuple[dict, int]:
 
 # -- wiring --------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative fraction or non-finite value after an option as the
+    option's value (`--r -3/7`, `--v -inf`), as argparse already does for
+    `-3` and `-0.5`, so that parse_rational sees it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+(/\d+)?|\d*\.?\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mubkit",
         description="quadratic Fourier matrices, Pauli operator families and "
                     "mutually unbiased bases, with exact phase arithmetic")

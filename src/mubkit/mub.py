@@ -184,8 +184,8 @@ def _qubit_columns(a: int) -> list[np.ndarray]:
     # common 1/sqrt(2); keep the phases and the scale separate
     cols = []
     for alpha in range(2):
-        cols.append(np.array([h.entries[0][alpha].to_complex(),
-                              h.entries[1][alpha].to_complex()]))
+        cols.append(np.array([h.entry(0, alpha).to_complex(),
+                              h.entry(1, alpha).to_complex()]))
     return cols
 
 

@@ -1,20 +1,34 @@
 """Exact arithmetic over roots of unity and phase-valued matrices.
 
-A root of unity is stored as the reduced rational number of *turns*
-(full revolutions), so products, powers and conjugates are integer
-arithmetic and equality is decidable with no tolerance.  Matrices whose
-entries are either zero or a common amplitude times a root of unity
-(Fourier, clock/shift and generalized Pauli matrices all have this
-shape) are kept in the same exact form for as long as products preserve
-it, and drop to dense complex arrays otherwise.
+A single root of unity (``ExactPhase``) is stored as the reduced rational
+number of *turns* (full revolutions), so products, powers and conjugates
+are integer arithmetic and equality is decidable with no tolerance.
+
+A ``PhaseMatrix`` has entries that are either exact zero or a common
+amplitude (1 or 1/sqrt(dim)) times a root of unity.  Fourier, clock/shift
+and generalized Pauli matrices all have this shape.  The matrix stores
+one common modulus N, an integer exponent array and a zero mask: the
+entry at (i, j) is exp(2*pi*i * exponents[i, j] / N) where mask[i, j]
+holds, and exact zero elsewhere.  N is kept minimal (it shares no factor
+with every present exponent), so equal matrices have equal arrays.
+Exponents are int64 while every sum of two of them stays below 2**53,
+and Python integers beyond that, so no operation overflows.
+
+When every row and every column holds exactly one present entry (X, Z,
+u_ab, V_ra, D_ra, P_r, T_n and the identity), the matrix also has a
+monomial view: a column per row and an exponent per row, both tuples of
+ints.  ``@``, ``**``, ``==``, ``dagger``, ``scaled_by``, ``trace`` and
+``trace_pair`` run on that view in O(dim) without forming the dim x dim
+arrays, which are derived from it when first asked for.  Products that
+would turn an entry into a sum of phases drop to dense complex arrays.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import cos, gcd, pi, sin, sqrt
-from typing import Callable, Optional, Sequence, Union
+from math import cos, gcd, lcm, pi, sin, sqrt
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,14 +58,28 @@ def as_fraction(x: Rational) -> Fraction:
     return Fraction(x)
 
 
-# exp(2*pi*i*t) for quarter turns, kept exact so sigma-like matrices
-# convert to complex without rounding noise
-_QUARTER = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 4): 1j,
-    Fraction(1, 2): -1 + 0j,
-    Fraction(3, 4): -1j,
-}
+# exp(2*pi*i*k/4) for k = 0..3, kept exact so sigma-like matrices convert
+# to complex without rounding noise
+_QUARTER = (1 + 0j, 1j, -1 + 0j, -1j)
+_QUARTER_RE = np.array([1.0, 0.0, -1.0, 0.0])
+_QUARTER_IM = np.array([0.0, 1.0, 0.0, -1.0])
+
+# exponents mod N stay int64 below this modulus: the sum of two of them,
+# and 4 * e for the quarter-turn test, stay exact, and e / N rounds once
+_INT64_MODULUS_LIMIT = 2 ** 53
+
+
+def exponent_dtype(modulus: int):
+    """Array dtype for exponents mod ``modulus``: int64, or Python ints when large."""
+    return np.int64 if modulus < _INT64_MODULUS_LIMIT else object
+
+
+def _phase_complex(e: int, n: int) -> complex:
+    """exp(2*pi*i*e/n) for 0 <= e < n, exact on quarter turns."""
+    if (4 * e) % n == 0:
+        return _QUARTER[4 * e // n]
+    angle = 2.0 * pi * (e / n)
+    return complex(cos(angle), sin(angle))
 
 
 class ExactPhase:
@@ -88,12 +116,7 @@ class ExactPhase:
         return ExactPhase(-self.turns)
 
     def to_complex(self) -> complex:
-        t = self.turns
-        exact = _QUARTER.get(t)
-        if exact is not None:
-            return exact
-        angle = 2.0 * pi * float(t)
-        return complex(cos(angle), sin(angle))
+        return _phase_complex(self.turns.numerator, self.turns.denominator)
 
 
 ONE = ExactPhase(0)
@@ -117,59 +140,69 @@ def half_turn_power(exponent: Rational) -> ExactPhase:
     return ExactPhase(Fraction(exponent) / 2)
 
 
-def _exact_sum(phases: Sequence[ExactPhase]) -> Optional[complex]:
-    """Exact value of sum(p) when decidable without cyclotomic arithmetic.
+def _exact_sum(exps: Sequence[int], n: int) -> Optional[complex]:
+    """Exact value of sum(exp(2*pi*i*e/n) for e in exps), 0 <= e < n, when
+    decidable without cyclotomic arithmetic.
 
     Covers the empty sum, the all-equal sum, and multisets invariant under
     rotation by a prime root of unity (which forces exact cancellation).
-    Returns None when no exact shortcut applies.
+    A rotation is a shift of every exponent by some s mod n.  A multiset
+    invariant under a nontrivial shift is invariant under one of prime
+    order (a multiple of it), and any invariant shift maps the first
+    exponent e0 onto another, so the differences e - e0 are the only
+    shifts to try; no factorisation of n is needed.  Returns None when no
+    exact shortcut applies.
     """
-    if not phases:
+    if not exps:
         return 0j
-    counts = Counter(p.turns for p in phases)
+    counts = Counter(exps)
     if len(counts) == 1:
-        ((t, n),) = counts.items()
-        return n * ExactPhase(t).to_complex()
-    lcm = 1
-    for t in counts:
-        lcm = lcm * t.denominator // gcd(lcm, t.denominator)
-    f, rest = 2, lcm
-    primes = []
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
-    for p in primes:
-        shift = Fraction(1, p)
-        if Counter((t + shift) % 1 for t in counts.elements()) == counts:
+        ((e, k),) = counts.items()
+        return k * _phase_complex(e, n)
+    e0 = exps[0]
+    for e in counts:
+        shift = e - e0
+        # the shift is a bijection on residues, so equal counts at e and
+        # e + shift for every e make the multiset invariant
+        if shift and all(counts.get((f + shift) % n) == k for f, k in counts.items()):
             return 0j
     return None
 
 
-class PhaseMatrix:
-    """Square matrix with entries amplitude * phase or exact zero.
+def _complex_sum(exps: Sequence[int], n: int) -> complex:
+    total = _exact_sum(exps, n)
+    if total is None:
+        total = sum(_phase_complex(e, n) for e in exps)
+    return total
 
-    The amplitude is tracked symbolically and is either 1 or 1/sqrt(dim);
-    ``entries[i][j]`` is an ExactPhase or None (exact zero).  Instances are
-    immutable by convention: no method mutates ``entries`` after
-    construction, so values can be shared freely between workers.
+
+class PhaseMatrix:
+    """Square matrix with entries amplitude * exp(2*pi*i*e/N) or exact zero.
+
+    The amplitude is tracked symbolically and is either 1 or 1/sqrt(dim).
+    ``modulus`` is N; ``exponents`` and ``mask`` are the read-only
+    dim x dim arrays (exponents are 0 where the mask is False);
+    ``monomial_view`` is the (columns, exponents) view of a generalized
+    permutation matrix, or None.  Instances are immutable, so values can
+    be shared freely between workers.
     """
 
-    __slots__ = ("dim", "scaled", "entries")
+    __slots__ = ("dim", "scaled", "modulus", "_mono", "_exps", "_mask")
 
     def __init__(self, entries: Sequence[Sequence[Optional[ExactPhase]]],
                  scaled: bool = False):
-        dim = len(entries)
+        """From rows of ExactPhase entries, None meaning exact zero."""
         rows = [list(row) for row in entries]
+        dim = len(rows)
         if any(len(row) != dim for row in rows):
             raise ValueError("phase matrix must be square")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "scaled", bool(scaled))
-        object.__setattr__(self, "entries", rows)
+        n = lcm(*(e.turns.denominator for row in rows for e in row if e is not None))
+        exps = [[0 if e is None else e.turns.numerator * (n // e.turns.denominator)
+                 for e in row] for row in rows]
+        mask = [[e is not None for e in row] for row in rows]
+        _store_arrays(self, dim, scaled, n,
+                      np.array(exps, dtype=exponent_dtype(n)).reshape(dim, dim),
+                      np.array(mask, dtype=bool).reshape(dim, dim))
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseMatrix is immutable")
@@ -177,29 +210,61 @@ class PhaseMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _from_arrays(cls, dim: int, scaled: bool, n: int, exps: np.ndarray,
+                     mask: np.ndarray) -> "PhaseMatrix":
+        m = object.__new__(cls)
+        _store_arrays(m, dim, scaled, n, exps, mask)
+        return m
+
+    @classmethod
+    def _from_monomial(cls, scaled: bool, n: int, cols: tuple, exps: tuple) -> "PhaseMatrix":
+        g = gcd(n, *exps)
+        if g > 1:
+            n //= g
+            exps = tuple(e // g for e in exps)
+        m = object.__new__(cls)
+        for name, value in (("dim", len(cols)), ("scaled", bool(scaled)), ("modulus", n),
+                            ("_mono", (cols, exps)), ("_exps", None), ("_mask", None)):
+            object.__setattr__(m, name, value)
+        return m
+
+    @classmethod
     def identity(cls, dim: int) -> "PhaseMatrix":
-        return cls([[ONE if i == j else None for j in range(dim)]
-                    for i in range(dim)])
+        return cls._from_monomial(False, 1, tuple(range(dim)), (0,) * dim)
 
     @classmethod
     def diagonal(cls, phases: Sequence[ExactPhase], scaled: bool = False) -> "PhaseMatrix":
-        dim = len(phases)
-        return cls([[phases[i] if i == j else None for j in range(dim)]
-                    for i in range(dim)], scaled)
+        n = lcm(*(p.turns.denominator for p in phases))
+        exps = tuple(p.turns.numerator * (n // p.turns.denominator) for p in phases)
+        return cls._from_monomial(scaled, n, tuple(range(len(phases))), exps)
 
     @classmethod
-    def from_exponents(cls, dim: int,
-                       exponent: Callable[[int, int], Optional[Rational]],
-                       scaled: bool = False) -> "PhaseMatrix":
-        """Build entries q**exponent(i, j) with q = exp(2*pi*i/dim); None means zero."""
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                e = exponent(i, j)
-                row.append(None if e is None else q_power(dim, e))
-            rows.append(row)
-        return cls(rows, scaled)
+    def monomial(cls, cols: Sequence[int], exponents: Sequence[int], den: int = 1,
+                 scaled: bool = False) -> "PhaseMatrix":
+        """Generalized permutation matrix: entry (i, cols[i]) is
+        q**(exponents[i] / den) with q = exp(2*pi*i/dim), dim = len(cols)."""
+        dim = len(cols)
+        cols = tuple(int(c) % dim for c in cols)
+        if len(set(cols)) != dim or len(exponents) != dim:
+            raise ValueError("a monomial matrix needs one entry per row and column")
+        n = dim * den
+        return cls._from_monomial(scaled, n, cols, tuple(int(e) % n for e in exponents))
+
+    @classmethod
+    def from_exponents(cls, dim: int, exponents, scaled: bool = False, den: int = 1,
+                       mask=None) -> "PhaseMatrix":
+        """Entries q**(exponents[i, j] / den) with q = exp(2*pi*i/dim).
+
+        ``exponents`` is a dim x dim integer array; where the optional
+        boolean ``mask`` is False the entry is exact zero.
+        """
+        n = dim * den
+        exps = np.asarray(exponents, dtype=exponent_dtype(n)) % n
+        mask = (np.ones((dim, dim), dtype=bool) if mask is None
+                else np.array(mask, dtype=bool))
+        if exps.shape != (dim, dim) or mask.shape != (dim, dim):
+            raise ValueError(f"exponents and mask must have shape ({dim}, {dim})")
+        return cls._from_arrays(dim, scaled, n, exps, mask)
 
     # -- queries -------------------------------------------------------
 
@@ -211,14 +276,45 @@ class PhaseMatrix:
     def amplitude_tag(self) -> str:
         return f"1/sqrt({self.dim})" if self.scaled else "1"
 
+    @property
+    def monomial_view(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(column of each row, exponent of each row), or None if not monomial."""
+        return self._mono
+
+    @property
+    def exponents(self) -> np.ndarray:
+        return self._dense()[0]
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self._dense()[1]
+
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._exps is None:
+            cols, exps = self._mono
+            rows = np.arange(self.dim)
+            e = np.zeros((self.dim, self.dim), dtype=exponent_dtype(self.modulus))
+            mask = np.zeros((self.dim, self.dim), dtype=bool)
+            e[rows, cols] = exps
+            mask[rows, cols] = True
+            e.flags.writeable = mask.flags.writeable = False
+            object.__setattr__(self, "_exps", e)
+            object.__setattr__(self, "_mask", mask)
+        return self._exps, self._mask
+
     def entry(self, i: int, j: int) -> Optional[ExactPhase]:
-        return self.entries[i][j]
+        e, mask = self._dense()
+        return ExactPhase(Fraction(int(e[i, j]), self.modulus)) if mask[i, j] else None
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, PhaseMatrix)
-                and self.dim == other.dim
-                and self.scaled == other.scaled
-                and self.entries == other.entries)
+        if not isinstance(other, PhaseMatrix):
+            return False
+        if (self.dim, self.scaled, self.modulus) != (other.dim, other.scaled, other.modulus):
+            return False
+        if self._mono is not None or other._mono is not None:
+            return self._mono == other._mono
+        return bool(np.array_equal(self._mask, other._mask)
+                    and np.array_equal(self._exps, other._exps))
 
     def __repr__(self) -> str:
         return f"PhaseMatrix(dim={self.dim}, amplitude={self.amplitude_tag})"
@@ -238,46 +334,65 @@ class PhaseMatrix:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.scaled and other.scaled:
             return self.to_complex() @ other.to_complex()
-        d = self.dim
-        result: list[list[Optional[ExactPhase]]] = [[None] * d for _ in range(d)]
-        for i in range(d):
-            arow = self.entries[i]
-            out = result[i]
-            for k in range(d):
-                aik = arow[k]
-                if aik is None:
-                    continue
-                brow = other.entries[k]
-                for j in range(d):
-                    bkj = brow[j]
-                    if bkj is None:
-                        continue
-                    if out[j] is not None:
-                        return self.to_complex() @ other.to_complex()
-                    out[j] = aik * bkj
-        return PhaseMatrix(result, self.scaled or other.scaled)
+        n = lcm(self.modulus, other.modulus)
+        sa, sb = n // self.modulus, n // other.modulus
+        scaled = self.scaled or other.scaled
+        if self._mono is not None and other._mono is not None:
+            (ac, ae), (bc, be) = self._mono, other._mono
+            return PhaseMatrix._from_monomial(
+                scaled, n, tuple(bc[c] for c in ac),
+                tuple((x * sa + be[c] * sb) % n for c, x in zip(ac, ae)))
+        ea, ma = self._dense()
+        eb, mb = other._dense()
+        terms = ma.astype(np.int64) @ mb.astype(np.int64)
+        if terms.max(initial=0) > 1:
+            return self.to_complex() @ other.to_complex()
+        # each result entry has at most one term a[i, k] b[k, j], and the
+        # exponents are 0 where the masks are False, so these sums pick it
+        dt = exponent_dtype(n)
+        exps = (ea.astype(dt) * sa @ mb.astype(dt) + ma.astype(dt) @ (eb.astype(dt) * sb)) % n
+        return PhaseMatrix._from_arrays(self.dim, scaled, n, exps, terms > 0)
 
     def dagger(self) -> "PhaseMatrix":
-        d = self.dim
-        rows = [[None if self.entries[j][i] is None else self.entries[j][i].conjugate()
-                 for j in range(d)] for i in range(d)]
-        return PhaseMatrix(rows, self.scaled)
+        n = self.modulus
+        if self._mono is not None:
+            cols, exps = self._mono
+            rows = [0] * self.dim
+            conj = [0] * self.dim
+            for i, (c, e) in enumerate(zip(cols, exps)):
+                rows[c] = i
+                conj[c] = -e % n
+            return PhaseMatrix._from_monomial(self.scaled, n, tuple(rows), tuple(conj))
+        e, mask = self._dense()
+        return PhaseMatrix._from_arrays(self.dim, self.scaled, n, -e.T % n, mask.T)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.dagger() ** (-n)
-        acc: PhaseMatrix = PhaseMatrix.identity(self.dim)
-        for _ in range(n):
-            acc = acc @ self
-            if isinstance(acc, np.ndarray):
+    def __pow__(self, k: int):
+        """Square-and-multiply; raises ValueError if a product leaves the exact form."""
+        if k < 0:
+            return self.dagger() ** (-k)
+        result, base = PhaseMatrix.identity(self.dim), self
+        while k:
+            if k & 1:
+                result = result @ base
+            k >>= 1
+            if k:
+                base = base @ base
+            if isinstance(result, np.ndarray) or isinstance(base, np.ndarray):
                 raise ValueError("power left the exact monomial form")
-        return acc
+        return result
 
     def scaled_by(self, phase: ExactPhase) -> "PhaseMatrix":
         """Multiply every entry by a global exact phase."""
-        rows = [[None if e is None else e * phase for e in row]
-                for row in self.entries]
-        return PhaseMatrix(rows, self.scaled)
+        t = phase.turns
+        n = lcm(self.modulus, t.denominator)
+        s, shift = n // self.modulus, t.numerator * (n // t.denominator)
+        if self._mono is not None:
+            cols, exps = self._mono
+            return PhaseMatrix._from_monomial(self.scaled, n, cols,
+                                              tuple((e * s + shift) % n for e in exps))
+        e, mask = self._dense()
+        return PhaseMatrix._from_arrays(self.dim, self.scaled, n,
+                                        (e.astype(exponent_dtype(n)) * s + shift) % n, mask)
 
     # -- numeric views ---------------------------------------------------
 
@@ -286,38 +401,71 @@ class PhaseMatrix:
         return self.to_complex()
 
     def to_complex(self) -> np.ndarray:
-        amp = self.amplitude
+        e, mask = self._dense()
+        n = self.modulus
+        present = e[mask]
+        # the same float operations as ExactPhase.to_complex, one array pass
+        angle = 2.0 * pi * np.asarray(present / n, dtype=float)
+        re, im = np.cos(angle), np.sin(angle)
+        quarter = (4 * present) % n == 0
+        k = ((4 * present[quarter]) // n).astype(np.intp)
+        re[quarter], im[quarter] = _QUARTER_RE[k], _QUARTER_IM[k]
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if e is not None:
-                    out[i, j] = amp * e.to_complex()
+        out.real[mask] = self.amplitude * re
+        out.imag[mask] = self.amplitude * im
         return out
 
     def trace(self) -> complex:
-        diag = [self.entries[i][i] for i in range(self.dim)]
-        present = [p for p in diag if p is not None]
-        total = _exact_sum(present)
-        if total is None:
-            total = sum(p.to_complex() for p in present)
-        return self.amplitude * total
+        if self._mono is not None:
+            cols, exps = self._mono
+            diag = [e for i, (c, e) in enumerate(zip(cols, exps)) if c == i]
+        else:
+            e, mask = self._dense()
+            diag = np.diagonal(e)[np.diagonal(mask)].tolist()
+        return self.amplitude * _complex_sum(diag, self.modulus)
+
+
+def _store_arrays(m: PhaseMatrix, dim: int, scaled: bool, n: int, exps: np.ndarray,
+                  mask: np.ndarray) -> None:
+    """Set m's slots from exponents mod n and a mask, reducing n to lowest terms
+    and deriving the monomial view when m has one."""
+    exps = np.where(mask, exps, 0)
+    g = gcd(n, int(np.gcd.reduce(exps, axis=None)))
+    if g > 1:
+        n //= g
+        exps //= g
+    exps = exps.astype(exponent_dtype(n))
+    mono = None
+    if (np.count_nonzero(mask) == dim and np.all(mask.any(axis=0))
+            and np.all(mask.any(axis=1))):
+        rows, cols = np.nonzero(mask)  # row-major, so rows is 0..dim-1
+        mono = (tuple(cols.tolist()), tuple(exps[rows, cols].tolist()))
+    exps.flags.writeable = False
+    mask = mask.copy()
+    mask.flags.writeable = False
+    for name, value in (("dim", dim), ("scaled", bool(scaled)), ("modulus", n),
+                        ("_mono", mono), ("_exps", exps), ("_mask", mask)):
+        object.__setattr__(m, name, value)
 
 
 def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
     """tr(a^dag b) without forming the product, exact whenever decidable.
 
     The pairing collects conj(a[k][i]) * b[k][i] over all positions where
-    both entries are present, then reuses the exact-sum shortcuts.
+    both entries are present, in row-major order, then reuses the
+    exact-sum shortcuts.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    phases = []
-    for k in range(a.dim):
-        arow, brow = a.entries[k], b.entries[k]
-        for i in range(a.dim):
-            if arow[i] is not None and brow[i] is not None:
-                phases.append(arow[i].conjugate() * brow[i])
-    total = _exact_sum(phases)
-    if total is None:
-        total = sum(p.to_complex() for p in phases)
-    return a.amplitude * b.amplitude * total
+    n = lcm(a.modulus, b.modulus)
+    sa, sb = n // a.modulus, n // b.modulus
+    if a._mono is not None and b._mono is not None:
+        (ac, ae), (bc, be) = a._mono, b._mono
+        exps = [(y * sb - x * sa) % n for c, x, c2, y in zip(ac, ae, bc, be) if c == c2]
+    else:
+        ea, ma = a._dense()
+        eb, mb = b._dense()
+        both = ma & mb
+        dt = exponent_dtype(n)
+        exps = ((eb[both].astype(dt) * sb - ea[both].astype(dt) * sa) % n).tolist()
+    return a.amplitude * b.amplitude * _complex_sum(exps, n)

@@ -24,7 +24,7 @@ import cmath
 
 import numpy as np
 
-from .phases import PhaseMatrix, as_fraction, is_rational
+from .phases import PhaseMatrix, as_fraction, exponent_dtype, is_rational
 
 Real = Union[int, Fraction, float]
 
@@ -78,59 +78,67 @@ class GaussSumArgs:
             raise ValueError("w must be nonzero")
 
 
-def _row_phases(p: QdftParams) -> list:
-    """row(n) = n(d-n)a/2 + (d-1)^2 r/4 - n(d-1)r/2 for n = 0..d-1.
+def _exponents(p: QdftParams) -> tuple[np.ndarray, int]:
+    """(den * F_ra exponents, den) as a d x d array, E(n, m) = row(n) + nm with
+    row(n) = n(d-n)a/2 + (d-1)^2 r/4 - n(d-1)r/2.
 
-    Written with Fraction literals: rational r keeps every value exact, a
-    float r turns them into floats.
+    For rational r, den = 4 den(r) and the array holds integers reduced
+    mod den * d.  For a float r, den = 1 and the array holds floats,
+    evaluated in the order the exact terms are written.
     """
     d = p.d
-    r = as_fraction(p.r) if p.exact else float(p.r)
-    return [Fraction(n * (d - n) * p.a, 2) + Fraction((d - 1) ** 2, 4) * r
-            - n * Fraction(d - 1, 2) * r for n in range(d)]
+    k = np.arange(d)
+    if p.exact:
+        r = as_fraction(p.r)
+        rn, rd = r.numerator, r.denominator
+        den = 4 * rd
+        n = den * d
+        row = [(2 * i * (d - i) * p.a * rd + (d - 1) ** 2 * rn - 2 * i * (d - 1) * rn) % n
+               for i in range(d)]
+        dt = exponent_dtype(n)
+        nm = (k[:, None] * k[None, :]) % d
+        return np.array(row, dtype=dt)[:, None] + den * nm.astype(dt), den
+    r = float(p.r)
+    row = (k * (d - k) * p.a / 2 + (d - 1) ** 2 / 4 * r) - k * (d - 1) / 2 * r
+    return row[:, None] + k[:, None] * k[None, :], 1
 
 
-def _fra_exponent(p: QdftParams):
-    """(n, m) -> row(n) + nm, the exponent of (F_ra)_{nm}."""
-    row = _row_phases(p)
-    return lambda n, m: row[n] + n * m
-
-
-def _build(p: QdftParams, exponent, scaled: bool = True) -> Union[PhaseMatrix, np.ndarray]:
-    """Entries q**exponent(i, j), times 1/sqrt(d) when scaled; None is zero.
+def _build(p: QdftParams, e: np.ndarray, den: int, scaled: bool = True,
+           mask=None) -> Union[PhaseMatrix, np.ndarray]:
+    """Entries q**(e / den), times 1/sqrt(d) when scaled; zero where mask is False.
 
     Exact phases for rational r, a dense complex array otherwise.
     """
-    if p.exact:
-        return PhaseMatrix.from_exponents(p.d, exponent, scaled)
     d = p.d
-    out = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = exponent(i, j)
-            if e is not None:
-                out[i, j] = cmath.exp(2j * pi * e / d)
+    if p.exact:
+        return PhaseMatrix.from_exponents(d, e, scaled, den=den, mask=mask)
+    angle = 2.0 * pi * e / d
+    out = np.empty((d, d), dtype=complex)
+    out.real, out.imag = np.cos(angle), np.sin(angle)
+    if mask is not None:
+        out[~mask] = 0
     return out / sqrt(d) if scaled else out
 
 
 def fra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
     """Quadratic Fourier matrix F_ra; exact for rational r."""
     p = QdftParams(d, r, a)
-    return _build(p, _fra_exponent(p))
+    return _build(p, *_exponents(p))
 
 
 def hra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
     """Row-reversed companion of F_ra; its columns are the transformed basis."""
     p = QdftParams(d, r, a)
-    fra = _fra_exponent(p)
-    return _build(p, lambda n, alpha: fra(p.d - 1 - n, alpha))
+    e, den = _exponents(p)
+    return _build(p, e[::-1], den)
 
 
 def dra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
     """Diagonal Gaussian factor with F_ra = D_ra @ F; its entries are the row phases."""
     p = QdftParams(d, r, a)
-    row = _row_phases(p)
-    return _build(p, lambda m, n: row[m] if m == n else None, scaled=False)
+    e, den = _exponents(p)
+    # column 0 of F_ra is row(n), since nm = 0 there
+    return _build(p, np.diag(e[:, 0]), den, scaled=False, mask=np.eye(p.d, dtype=bool))
 
 
 def forward(x, d: int, r: Real = 0, a: int = 0) -> np.ndarray:

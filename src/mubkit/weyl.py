@@ -72,13 +72,12 @@ class SineIndex(NamedTuple):
 
 def x_matrix(d: int) -> PhaseMatrix:
     """Cyclic shift: X|n> = |n-1 mod d>, ones on the superdiagonal and corner."""
-    return PhaseMatrix([[ONE if j == (i + 1) % d else None for j in range(d)]
-                        for i in range(d)])
+    return PhaseMatrix.monomial([i + 1 for i in range(d)], [0] * d)
 
 
 def z_matrix(d: int) -> PhaseMatrix:
     """Clock matrix diag(1, q, ..., q^(d-1))."""
-    return PhaseMatrix.diagonal([q_power(d, n) for n in range(d)])
+    return PhaseMatrix.monomial(range(d), range(d))
 
 
 def pr_matrix(d: int, r: Rational) -> PhaseMatrix:
@@ -89,12 +88,12 @@ def pr_matrix(d: int, r: Rational) -> PhaseMatrix:
 
 def vra_band_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
     """V_ra from its explicit band form: (V)_{n-1,n} = q^{na}, corner e^{i*pi*(d-1)r}."""
-    a = a % d
-    rows: list[list[ExactPhase | None]] = [[None] * d for _ in range(d)]
-    for n in range(1, d):
-        rows[n - 1][n] = q_power(d, n * a)
-    rows[d - 1][0] = half_turn_power(as_fraction(r) * (d - 1))
-    return PhaseMatrix(rows)
+    r = as_fraction(r)
+    den = 2 * r.denominator
+    # row n-1 holds q^{na} in column n; the corner e^{i*pi*(d-1)r} is
+    # q^{d(d-1)r/2}, which is what the last row's exponent over den says
+    exps = [den * n * a for n in range(1, d)] + [d * (d - 1) * r.numerator]
+    return PhaseMatrix.monomial([n + 1 for n in range(d)], exps, den)
 
 
 def vra_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
@@ -125,14 +124,9 @@ def diagonalize_vra(d: int, r: Rational = 0, a: int = 0) -> np.ndarray:
 def u_ab(d: int, idx: PauliIndex | tuple[int, int]) -> PhaseMatrix:
     """Generalized Pauli matrix X^a Z^b, exact."""
     a, b = idx
-    a %= d
-    b %= d
     # (X^a Z^b)_{n,m} = q^{mb} when m = n + a mod d
-    rows: list[list[ExactPhase | None]] = [[None] * d for _ in range(d)]
-    for n in range(d):
-        m = (n + a) % d
-        rows[n][m] = q_power(d, m * b)
-    return PhaseMatrix(rows)
+    cols = [(n + a) % d for n in range(d)]
+    return PhaseMatrix.monomial(cols, [m * b for m in cols])
 
 
 def vra_q_commutation_checks(d: int, r: Rational, a: int) -> tuple[bool, bool]:

@@ -253,3 +253,70 @@ def test_basis_set_has_no_csv_rendering(capsys):
     code, _, err = run(capsys, "mub", "--dim4", "--format", "csv")
     assert code == 2
     assert "csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "fra", "--d", "5", "--a", "2", "--r", "{}"),
+    ("matrix", "hra", "--d", "7", "--r", "{}"),
+    ("mub", "--three-mub", "--p", "6", "--a", "1", "--r", "{}"),
+    ("gauss", "--u", "1", "--w", "7", "--v", "{}"),
+])
+@pytest.mark.parametrize("value", ["-3/7", "-2", "-0.25"])
+def test_negative_value_after_space_reads_as_value(capsys, argv, value):
+    spaced = [a.replace("{}", value) for a in argv]
+    joined = list(argv[:-2]) + [f"{argv[-2]}={value}"]
+    code, out, _ = run(capsys, *spaced, "--format", "json")
+    assert code == 0
+    assert (code, out) == run(capsys, *joined, "--format", "json")[:2]
+
+
+def test_negative_indices_after_space(capsys):
+    code, out, _ = run(capsys, "matrix", "uab", "--d", "5", "--a", "-2", "--b", "-3",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"kind": "uab", "d": 5, "r": "0", "a": -2, "b": -3}
+
+
+def test_negative_non_finite_after_space_is_usage_error(capsys):
+    code, out, err = run(capsys, "gauss", "--u", "1", "--v", "-inf", "--w", "3")
+    assert code == 2
+    assert out == ""
+    assert "value must be finite" in err
+
+
+def test_gauss_term_count_bound(capsys):
+    code, out, err = run(capsys, "gauss", "--u", "1", "--v", "0", "--w", "-10000001")
+    assert code == 2 and out == ""
+    assert "|w| = 10000001 exceeds 10000000" in err and "|w| terms" in err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("matrix", "fra", "--d", "32"), 32 ** 2),
+    (("matrix", "x", "--d", "40"), 40 ** 2),
+    (("mub", "--p", "11"), 12 * 11 ** 2),
+    (("mub", "--three-mub", "--p", "19"), 3 * 19 ** 2),
+])
+def test_payload_entry_bound(capsys, monkeypatch, argv, count):
+    from mubkit import cli
+    monkeypatch.setattr(cli, "MAX_PAYLOAD_ENTRIES", 1000)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"would emit {count} matrix entries" in err and "limit is 1000" in err
+    assert run(capsys, "matrix", "fra", "--d", "31", "--format", "json")[0] == 0
+
+
+def test_payload_entry_bound_admits_benchmark_sizes(capsys):
+    from mubkit import cli
+    assert cli.MAX_PAYLOAD_ENTRIES == 10 ** 6
+    assert 44 * 43 ** 2 <= cli.MAX_PAYLOAD_ENTRIES   # mub --p 43
+    assert 98 * 97 ** 2 <= cli.MAX_PAYLOAD_ENTRIES   # mub --p 97
+    code, _, err = run(capsys, "mub", "--p", "101")
+    assert code == 2 and "would emit 1040502 matrix entries" in err
+
+
+def test_fbar_spin_bound(capsys):
+    code, out, err = run(capsys, "fbar", "--j", "1,41/2,21", "--alpha", "0,0,0")
+    assert code == 2 and out == ""
+    assert "2j = 42 exceeds 40" in err and "accuracy" in err
+    code, _, _ = run(capsys, "fbar", "--j", "20,20,1", "--alpha", "0,0,0", "--format", "json")
+    assert code == 0

@@ -1,0 +1,248 @@
+"""Property tests of the PhaseMatrix kernel against two references.
+
+The first reference keeps every entry as a Fraction of a turn (or None
+for exact zero) and multiplies entry by entry, as the kernel did before
+it stored integer exponent arrays; exact results must equal it.  The
+second is the dense complex view, np.asarray(m, dtype=complex); every
+result, and every dense fallback, must agree with it within 1e-12.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from math import gcd
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mubkit.phases import ExactPhase, PhaseMatrix, trace_pair
+from mubkit.qdft import dra_matrix, fra_matrix, hra_matrix
+
+TOL = 1e-12
+
+# moduli of the generated matrices: small ones share factors, the large
+# ones exceed int64 once two of them are combined
+SMALL_MODULI = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 30, 49]
+LARGE_MODULI = [4 * 13 * 1_000_000_007, 2 ** 61 - 1, 10 ** 18 + 9]
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- the Fraction reference ----------------------------------------------------
+
+def ref_product(a, b):
+    """Entry-wise product of turn tables, or None where an entry is a sum."""
+    d = len(a)
+    out = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for k in range(d):
+            if a[i][k] is None:
+                continue
+            for j in range(d):
+                if b[k][j] is None:
+                    continue
+                if out[i][j] is not None:
+                    return None
+                out[i][j] = (a[i][k] + b[k][j]) % 1
+    return out
+
+
+def ref_dagger(a):
+    d = len(a)
+    return [[None if a[j][i] is None else -a[j][i] % 1 for j in range(d)] for i in range(d)]
+
+
+# every prime that divides a modulus or a phase denominator used below
+PRIMES = [2, 3, 5, 7, 13, 1_000_000_007, 1_000_000_009, 2 ** 61 - 1, 10 ** 18 + 9]
+
+
+def ref_exact_sum(turns):
+    """The exact-sum shortcuts on Fractions: empty, all equal, and rotation
+    by 1/p for each prime p dividing the common denominator."""
+    if not turns:
+        return 0j
+    counts = Counter(turns)
+    if len(counts) == 1:
+        ((t, k),) = counts.items()
+        return k * ExactPhase(t).to_complex()
+    den = 1
+    for t in counts:
+        den = den * t.denominator // gcd(den, t.denominator)
+    for p in PRIMES:
+        if den % p == 0 and Counter((t + Fraction(1, p)) % 1
+                                    for t in counts.elements()) == counts:
+            return 0j
+    return None
+
+
+def table(m):
+    return [[None if m.entry(i, j) is None else m.entry(i, j).turns
+             for j in range(m.dim)] for i in range(m.dim)]
+
+
+def build(turns, scaled):
+    return PhaseMatrix([[None if t is None else ExactPhase(t) for t in row]
+                        for row in turns], scaled)
+
+
+def dense(m):
+    return np.asarray(m, dtype=complex)
+
+
+# -- strategies ------------------------------------------------------------------
+
+moduli = st.one_of(st.sampled_from(SMALL_MODULI), st.sampled_from(LARGE_MODULI))
+
+
+@st.composite
+def monomial_tables(draw, dim):
+    n = draw(moduli)
+    cols = draw(st.permutations(range(dim)))
+    turns = [[None] * dim for _ in range(dim)]
+    for i, c in enumerate(cols):
+        turns[i][c] = Fraction(draw(st.integers(0, n - 1)), n)
+    return turns
+
+
+@st.composite
+def dense_tables(draw, dim):
+    n = draw(moduli)
+    return [[draw(st.one_of(st.none(), st.integers(0, n - 1).map(lambda e: Fraction(e, n))))
+             for _ in range(dim)] for _ in range(dim)]
+
+
+@st.composite
+def matrix_pairs(draw):
+    dim = draw(st.integers(1, 5))
+    tables = st.one_of(monomial_tables(dim), dense_tables(dim))
+    return (draw(tables), draw(st.booleans()), draw(tables), draw(st.booleans()))
+
+
+# -- properties ------------------------------------------------------------------
+
+@PROPERTY_SETTINGS
+@given(matrix_pairs())
+def test_round_trip_equality_and_dagger(pair):
+    ta, sa, tb, sb = pair
+    a, b = build(ta, sa), build(tb, sb)
+    assert table(a) == ta
+    assert a == build(ta, sa)
+    present = [[t is not None for t in row] for row in ta]
+    monomial = all(sum(row) == 1 for row in present) and all(sum(col) == 1 for col in zip(*present))
+    assert (a.monomial_view is not None) == monomial
+    if monomial:
+        cols, exps = a.monomial_view
+        assert [Fraction(e, a.modulus) for e in exps] == [ta[i][c] for i, c in enumerate(cols)]
+    assert (a == b) == (ta == tb and sa == sb)
+    assert table(a.dagger()) == ref_dagger(ta)
+    assert np.max(np.abs(dense(a.dagger()) - dense(a).conj().T)) < TOL
+
+
+@PROPERTY_SETTINGS
+@given(matrix_pairs())
+def test_matmul_matches_both_references(pair):
+    ta, sa, tb, sb = pair
+    a, b = build(ta, sa), build(tb, sb)
+    got = a @ b
+    want = dense(a) @ dense(b)
+    ref = None if sa and sb else ref_product(ta, tb)
+    if ref is None:
+        assert isinstance(got, np.ndarray)
+    else:
+        assert isinstance(got, PhaseMatrix)
+        assert table(got) == ref
+        assert got.scaled == (sa or sb)
+    assert np.max(np.abs(dense(got) - want)) < TOL
+
+
+@PROPERTY_SETTINGS
+@given(matrix_pairs(), st.integers(-6, 6))
+def test_pow_matches_both_references(pair, k):
+    ta, sa, _, _ = pair
+    a = build(ta, sa)
+    base = ref_dagger(ta) if k < 0 else ta
+    ref = [[Fraction(0) if i == j else None for j in range(len(ta))] for i in range(len(ta))]
+    for step in range(abs(k)):
+        ref = None if (sa and step > 0) or ref is None else ref_product(ref, base)
+    try:
+        got = a ** k
+    except ValueError:
+        assert ref is None  # the step-by-step product leaves the exact form too
+        return
+    if ref is not None:
+        assert table(got) == ref
+    # every entry of an exact power is one product of phases, so the dense
+    # power adds no sums and agrees to rounding
+    arr = dense(a).conj().T if k < 0 else dense(a)
+    assert np.max(np.abs(dense(got) - np.linalg.matrix_power(arr, abs(k)))) < TOL
+
+
+@PROPERTY_SETTINGS
+@given(matrix_pairs(), st.integers(0, 10 ** 6), st.sampled_from([1, 2, 7, 12, 1_000_000_007]))
+def test_scaled_by_matches_both_references(pair, num, den):
+    ta, sa, _, _ = pair
+    phase = ExactPhase(Fraction(num, den))
+    got = build(ta, sa).scaled_by(phase)
+    assert table(got) == [[None if t is None else (t + phase.turns) % 1 for t in row]
+                          for row in ta]
+    assert np.max(np.abs(dense(got) - phase.to_complex() * dense(build(ta, sa)))) < TOL
+
+
+@PROPERTY_SETTINGS
+@given(matrix_pairs())
+def test_trace_and_trace_pair_match_both_references(pair):
+    ta, sa, tb, sb = pair
+    a, b = build(ta, sa), build(tb, sb)
+    d = len(ta)
+    amp = a.amplitude
+    got = a.trace()
+    assert abs(got - np.trace(dense(a))) < TOL
+    exact = ref_exact_sum([ta[i][i] for i in range(d) if ta[i][i] is not None])
+    if exact is not None:
+        assert got == amp * exact
+
+    got = trace_pair(a, b)
+    assert abs(got - np.trace(dense(a).conj().T @ dense(b))) < TOL
+    terms = [(tb[k][i] - ta[k][i]) % 1 for k in range(d) for i in range(d)
+             if ta[k][i] is not None and tb[k][i] is not None]
+    exact = ref_exact_sum(terms)
+    if exact is not None:
+        assert got == a.amplitude * b.amplitude * exact
+
+
+def test_exact_results_are_builtin_types():
+    x = build([[None, Fraction(0)], [Fraction(0), None]], False)
+    assert type(x == x) is bool and type(x != x) is bool
+    assert type(trace_pair(x, x)) is complex and type(x.trace()) is complex
+
+
+# -- huge denominators ---------------------------------------------------------
+
+HUGE_R = [Fraction(1, 1_000_000_007), Fraction(-999_999_937, 1_000_000_007),
+          Fraction(3, 10 ** 18 + 9)]
+
+
+def fra_turns(d, r, a, n, m):
+    """(F_ra)_{nm} in turns, straight from the closed form."""
+    e = Fraction(n * (d - n) * a, 2) + Fraction((d - 1) ** 2, 4) * r + n * (m - Fraction(d - 1, 2) * r)
+    return (e / d) % 1
+
+
+@pytest.mark.parametrize("r", HUGE_R)
+def test_huge_denominator_matches_fraction_reference(r):
+    d, a = 13, 5
+    f, h, dr = fra_matrix(d, r, a), hra_matrix(d, r, a), dra_matrix(d, r, a)
+    want = [[fra_turns(d, r, a, n, m) for m in range(d)] for n in range(d)]
+    assert table(f) == want
+    assert table(h) == want[::-1]
+    assert table(dr) == [[want[n][0] if n == m else None for m in range(d)] for n in range(d)]
+    # products and pairings across two huge moduli, whose common modulus
+    # is beyond int64
+    other = dra_matrix(d, Fraction(1, 1_000_000_009), 2)
+    assert table(f @ other) == ref_product(want, table(other))
+    assert table(other @ dr) == ref_product(table(other), table(dr))
+    assert abs(trace_pair(other, dr) - np.trace(dense(other).conj().T @ dense(dr))) < TOL
+    assert np.max(np.abs(dense(f) - np.exp(2j * np.pi * np.array(
+        [[float(t) for t in row] for row in want])) / np.sqrt(d))) < TOL

@@ -16,10 +16,6 @@ from mubkit.weyl import (PauliGroupElement, x_matrix, z_matrix, pr_matrix,
                          regular_representation_check)
 
 
-def entries_of(m):
-    return [[None if e is None else e.turns for e in row] for row in m.entries]
-
-
 def test_x_z_d2_are_sigma_layout():
     assert x_matrix(2).to_complex().tolist() == [[0, 1], [1, 0]]
     assert z_matrix(2).to_complex().tolist() == [[1, 0], [0, -1]]
