@@ -8,8 +8,7 @@ verified with no tolerance at all; dense complex arrays are used only
 where irrational amplitudes force them.
 """
 
-from .phases import (ExactPhase, PhaseMatrix, ONE, MINUS_ONE,
-                     phase_from_fraction, q_power, half_turn_power)
+from .phases import ExactPhase, PhaseMatrix, q_power
 from .qdft import (QdftParams, GaussSumArgs, HadamardReport, fra_matrix,
                    hra_matrix, dra_matrix, forward, inverse, parseval_check,
                    gauss_sum, trace_fra, det_fra, is_generalized_hadamard)

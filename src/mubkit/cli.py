@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import mub, qdft, weyl, wigner
-from .phases import ExactPhase, PhaseMatrix
+from .phases import PhaseMatrix
 from .verify import SUITES, run_suite, suite_passed
 
 SCHEMA_VERSION = "1"
@@ -46,6 +46,13 @@ MAX_GAUSS_TERMS = 10 ** 7
 # wigner_3j at j1 = j2 = j3 = j their error grows from about 3e-13 at
 # j = 20 to 7e-11 at j = 30 and 2e-9 at j = 40.
 MAX_FBAR_TWO_J = 40
+# Only the `qdft` suite of `verify` has no dimension cap of its own; its
+# time grows as d_max^4.  `verify qdft --d-max` took 0.6 s at 13, 6.5 s
+# at 24 and 17 s at 32 (2-core x86 host, Python 3.11).
+MAX_VERIFY_D = 32
+# `transform` builds the d x d matrix F_ra: peak RSS 90 MB at d = 1000,
+# 274 MB at 2000, 900 MB at 4000 (about 56 bytes per entry), same host.
+MAX_TRANSFORM_D = 2000
 
 
 class UsageError(Exception):
@@ -105,17 +112,18 @@ def parse_half_integers(text: str) -> list[int]:
 
 def phase_matrix_payload(m: PhaseMatrix) -> dict:
     """Entries as reduced [numerator, denominator] turn pairs, None for zero."""
-    e, mask = m.exponents, m.mask
-    g = np.gcd(e, m.modulus)
-    nums, dens = (e // g).tolist(), (m.modulus // g).tolist()
-    return {
-        "type": "phase_matrix",
-        "dim": m.dim,
-        "amplitude": m.amplitude_tag,
-        "entries": [[[num, den] if present else None
-                     for num, den, present in zip(*row)]
-                    for row in zip(nums, dens, mask.tolist())],
-    }
+    n = m.modulus
+    if m.monomial_view is not None:
+        entries = [[None] * m.dim for _ in range(m.dim)]
+        for row, c, e in zip(entries, *m.monomial_view):
+            g = math.gcd(e, n)
+            row[c] = [e // g, n // g]
+    else:
+        g = np.gcd(m.exponents, n)
+        entries = [[[num, den] for num, den in zip(*row)]
+                   for row in zip((m.exponents // g).tolist(), (n // g).tolist())]
+    return {"type": "phase_matrix", "dim": m.dim, "amplitude": m.amplitude_tag,
+            "entries": entries}
 
 
 def complex_matrix_payload(arr: np.ndarray) -> dict:
@@ -144,10 +152,22 @@ def scalar_payload(value: complex) -> dict:
 def payload_to_matrix(payload: dict) -> Union[PhaseMatrix, np.ndarray]:
     """Rebuild a matrix from its JSON payload."""
     if payload["type"] == "phase_matrix":
-        rows = [[None if pair is None else ExactPhase(Fraction(pair[0], pair[1]))
-                 for pair in row] for row in payload["entries"]]
+        rows = payload["entries"]
+        dim = len(rows)
+        den = math.lcm(*(pair[1] for row in rows for pair in row if pair is not None))
+        # turns num/pair_den as q**(e / den) with q = exp(2*pi*i/dim)
+        exps = [[None if pair is None else pair[0] * (den // pair[1]) * dim for pair in row]
+                for row in rows]
         scaled = payload["amplitude"] != "1"
-        return PhaseMatrix(rows, scaled)
+        present = [[e is not None for e in row] for row in exps]
+        if all(map(all, present)):
+            return PhaseMatrix.from_exponents(dim, exps, scaled, den)
+        if all(sum(row) == 1 for row in present) and all(sum(col) == 1 for col in zip(*present)):
+            cols = [row.index(True) for row in present]
+            return PhaseMatrix.monomial(cols, [row[c] for row, c in zip(exps, cols)],
+                                        den, scaled)
+        raise UsageError("a phase_matrix payload must be monomial (one entry per row "
+                         "and column) or full (an entry at every position)")
     if payload["type"] == "complex_matrix":
         return np.array([[complex(re, im) for re, im in row]
                          for row in payload["entries"]])
@@ -358,6 +378,9 @@ def cmd_mub(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.d_max > MAX_VERIFY_D:
+        raise UsageError(f"--d-max {args.d_max} exceeds {MAX_VERIFY_D}: the qdft "
+                         f"suite's run time grows as d_max^4")
     results = run_suite(args.suite, d_max=args.d_max, seed=args.seed)
     checks = [{"name": r.name, "residual": r.residual,
                "tolerance": r.tolerance, "passed": r.passed} for r in results]
@@ -405,6 +428,9 @@ def _read_vector(path: str) -> np.ndarray:
 
 
 def cmd_transform(args) -> tuple[dict, int]:
+    if args.d > MAX_TRANSFORM_D:
+        raise UsageError(f"--d {args.d} exceeds {MAX_TRANSFORM_D}: the transform "
+                         f"builds the d x d matrix, so memory grows as d^2")
     r = parse_rational(args.r)
     x = _read_vector(args.infile)
     if x.shape != (args.d,):

@@ -4,23 +4,24 @@ A single root of unity (``ExactPhase``) is stored as the reduced rational
 number of *turns* (full revolutions), so products, powers and conjugates
 are integer arithmetic and equality is decidable with no tolerance.
 
-A ``PhaseMatrix`` has entries that are either exact zero or a common
-amplitude (1 or 1/sqrt(dim)) times a root of unity.  Fourier, clock/shift
-and generalized Pauli matrices all have this shape.  The matrix stores
-one common modulus N, an integer exponent array and a zero mask: the
-entry at (i, j) is exp(2*pi*i * exponents[i, j] / N) where mask[i, j]
-holds, and exact zero elsewhere.  N is kept minimal (it shares no factor
-with every present exponent), so equal matrices have equal arrays.
-Exponents are int64 while every sum of two of them stays below 2**53,
-and Python integers beyond that, so no operation overflows.
+A ``PhaseMatrix`` has entries that are a common amplitude (1 or
+1/sqrt(dim)) times a root of unity exp(2*pi*i*e/N), with one common
+modulus N kept minimal, so equal matrices have equal exponents.  It has
+one of two shapes:
 
-When every row and every column holds exactly one present entry (X, Z,
-u_ab, V_ra, D_ra, P_r, T_n and the identity), the matrix also has a
-monomial view: a column per row and an exponent per row, both tuples of
-ints.  ``@``, ``**``, ``==``, ``dagger``, ``scaled_by``, ``trace`` and
-``trace_pair`` run on that view in O(dim) without forming the dim x dim
-arrays, which are derived from it when first asked for.  Products that
-would turn an entry into a sum of phases drop to dense complex arrays.
+* monomial: one entry per row and column, exact zero elsewhere (X, Z,
+  u_ab, V_ra, D_ra, P_r, T_n and the identity), stored as a column and
+  an exponent per row;
+* full: an entry at every position (F_ra, H_ra), stored as a read-only
+  dim x dim exponent array.
+
+A 1 x 1 matrix is monomial.  ``@`` of two monomials is monomial and
+costs O(dim); a monomial on either side of a full matrix permutes its
+rows or columns.  A product whose entries would be sums of phases (full
+@ full), or whose amplitude would be 1/dim (two 1/sqrt(dim) factors), is
+no PhaseMatrix and raises ValueError; ``np.asarray(a) @ b`` is the dense
+product.  Exponents are int64 while every sum of two of them stays below
+2**53, and Python integers beyond that, so no operation overflows.
 """
 
 from __future__ import annotations
@@ -37,11 +38,7 @@ Rational = Union[int, Fraction]
 __all__ = [
     "ExactPhase",
     "PhaseMatrix",
-    "ONE",
-    "MINUS_ONE",
-    "phase_from_fraction",
     "q_power",
-    "half_turn_power",
     "is_rational",
     "as_fraction",
 ]
@@ -119,25 +116,9 @@ class ExactPhase:
         return _phase_complex(self.turns.numerator, self.turns.denominator)
 
 
-ONE = ExactPhase(0)
-MINUS_ONE = ExactPhase(Fraction(1, 2))
-
-
-def phase_from_fraction(num: int, den: int) -> ExactPhase:
-    """exp(2*pi*i*num/den) in reduced canonical form; den must be positive."""
-    if den <= 0:
-        raise ValueError("denominator must be a positive integer")
-    return ExactPhase(Fraction(num, den))
-
-
 def q_power(d: int, exponent: Rational) -> ExactPhase:
     """q**exponent for q = exp(2*pi*i/d); rational exponents widen the denominator."""
     return ExactPhase(Fraction(exponent) / d)
-
-
-def half_turn_power(exponent: Rational) -> ExactPhase:
-    """exp(i*pi*exponent) for rational exponent."""
-    return ExactPhase(Fraction(exponent) / 2)
 
 
 def _exact_sum(exps: Sequence[int], n: int) -> Optional[complex]:
@@ -177,32 +158,17 @@ def _complex_sum(exps: Sequence[int], n: int) -> complex:
 
 
 class PhaseMatrix:
-    """Square matrix with entries amplitude * exp(2*pi*i*e/N) or exact zero.
+    """Square matrix with entries amplitude * exp(2*pi*i*e/N), monomial or full.
 
     The amplitude is tracked symbolically and is either 1 or 1/sqrt(dim).
-    ``modulus`` is N; ``exponents`` and ``mask`` are the read-only
-    dim x dim arrays (exponents are 0 where the mask is False);
-    ``monomial_view`` is the (columns, exponents) view of a generalized
-    permutation matrix, or None.  Instances are immutable, so values can
-    be shared freely between workers.
+    ``modulus`` is N.  A monomial matrix has ``monomial_view``, the
+    (columns, exponents) tuples of its rows, and ``exponents`` None; a
+    full one has the read-only dim x dim array ``exponents`` and
+    ``monomial_view`` None.  Instances are immutable, so values can be
+    shared freely between workers.
     """
 
-    __slots__ = ("dim", "scaled", "modulus", "_mono", "_exps", "_mask")
-
-    def __init__(self, entries: Sequence[Sequence[Optional[ExactPhase]]],
-                 scaled: bool = False):
-        """From rows of ExactPhase entries, None meaning exact zero."""
-        rows = [list(row) for row in entries]
-        dim = len(rows)
-        if any(len(row) != dim for row in rows):
-            raise ValueError("phase matrix must be square")
-        n = lcm(*(e.turns.denominator for row in rows for e in row if e is not None))
-        exps = [[0 if e is None else e.turns.numerator * (n // e.turns.denominator)
-                 for e in row] for row in rows]
-        mask = [[e is not None for e in row] for row in rows]
-        _store_arrays(self, dim, scaled, n,
-                      np.array(exps, dtype=exponent_dtype(n)).reshape(dim, dim),
-                      np.array(mask, dtype=bool).reshape(dim, dim))
+    __slots__ = ("dim", "scaled", "modulus", "_mono", "_exps")
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseMatrix is immutable")
@@ -210,10 +176,13 @@ class PhaseMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _from_arrays(cls, dim: int, scaled: bool, n: int, exps: np.ndarray,
-                     mask: np.ndarray) -> "PhaseMatrix":
+    def _new(cls, scaled: bool, n: int, mono: Optional[tuple],
+             exps: Optional[np.ndarray]) -> "PhaseMatrix":
         m = object.__new__(cls)
-        _store_arrays(m, dim, scaled, n, exps, mask)
+        dim = len(mono[0]) if mono is not None else len(exps)
+        for name, value in (("dim", dim), ("scaled", bool(scaled)), ("modulus", n),
+                            ("_mono", mono), ("_exps", exps)):
+            object.__setattr__(m, name, value)
         return m
 
     @classmethod
@@ -222,21 +191,24 @@ class PhaseMatrix:
         if g > 1:
             n //= g
             exps = tuple(e // g for e in exps)
-        m = object.__new__(cls)
-        for name, value in (("dim", len(cols)), ("scaled", bool(scaled)), ("modulus", n),
-                            ("_mono", (cols, exps)), ("_exps", None), ("_mask", None)):
-            object.__setattr__(m, name, value)
-        return m
+        return cls._new(scaled, n, (cols, exps), None)
+
+    @classmethod
+    def _from_full(cls, scaled: bool, n: int, exps: np.ndarray) -> "PhaseMatrix":
+        """From a fresh dim x dim array of exponents mod n, which it takes over."""
+        if len(exps) == 1:
+            return cls._from_monomial(scaled, n, (0,), (int(exps[0, 0]),))
+        g = gcd(n, int(np.gcd.reduce(exps, axis=None)))
+        if g > 1:
+            n //= g
+            exps = exps // g
+        exps = exps.astype(exponent_dtype(n), copy=False)
+        exps.flags.writeable = False
+        return cls._new(scaled, n, None, exps)
 
     @classmethod
     def identity(cls, dim: int) -> "PhaseMatrix":
         return cls._from_monomial(False, 1, tuple(range(dim)), (0,) * dim)
-
-    @classmethod
-    def diagonal(cls, phases: Sequence[ExactPhase], scaled: bool = False) -> "PhaseMatrix":
-        n = lcm(*(p.turns.denominator for p in phases))
-        exps = tuple(p.turns.numerator * (n // p.turns.denominator) for p in phases)
-        return cls._from_monomial(scaled, n, tuple(range(len(phases))), exps)
 
     @classmethod
     def monomial(cls, cols: Sequence[int], exponents: Sequence[int], den: int = 1,
@@ -251,20 +223,15 @@ class PhaseMatrix:
         return cls._from_monomial(scaled, n, cols, tuple(int(e) % n for e in exponents))
 
     @classmethod
-    def from_exponents(cls, dim: int, exponents, scaled: bool = False, den: int = 1,
-                       mask=None) -> "PhaseMatrix":
-        """Entries q**(exponents[i, j] / den) with q = exp(2*pi*i/dim).
-
-        ``exponents`` is a dim x dim integer array; where the optional
-        boolean ``mask`` is False the entry is exact zero.
-        """
+    def from_exponents(cls, dim: int, exponents, scaled: bool = False,
+                       den: int = 1) -> "PhaseMatrix":
+        """Full matrix with entries q**(exponents[i, j] / den), q = exp(2*pi*i/dim);
+        ``exponents`` is a dim x dim integer array."""
         n = dim * den
         exps = np.asarray(exponents, dtype=exponent_dtype(n)) % n
-        mask = (np.ones((dim, dim), dtype=bool) if mask is None
-                else np.array(mask, dtype=bool))
-        if exps.shape != (dim, dim) or mask.shape != (dim, dim):
-            raise ValueError(f"exponents and mask must have shape ({dim}, {dim})")
-        return cls._from_arrays(dim, scaled, n, exps, mask)
+        if exps.shape != (dim, dim):
+            raise ValueError(f"exponents must have shape ({dim}, {dim})")
+        return cls._from_full(scaled, n, exps)
 
     # -- queries -------------------------------------------------------
 
@@ -278,33 +245,25 @@ class PhaseMatrix:
 
     @property
     def monomial_view(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(column of each row, exponent of each row), or None if not monomial."""
+        """(column of each row, exponent of each row), or None if full."""
         return self._mono
 
     @property
-    def exponents(self) -> np.ndarray:
-        return self._dense()[0]
+    def exponents(self) -> Optional[np.ndarray]:
+        """The dim x dim exponent array, or None if monomial."""
+        return self._exps
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self._dense()[1]
-
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._exps is None:
-            cols, exps = self._mono
-            rows = np.arange(self.dim)
-            e = np.zeros((self.dim, self.dim), dtype=exponent_dtype(self.modulus))
-            mask = np.zeros((self.dim, self.dim), dtype=bool)
-            e[rows, cols] = exps
-            mask[rows, cols] = True
-            e.flags.writeable = mask.flags.writeable = False
-            object.__setattr__(self, "_exps", e)
-            object.__setattr__(self, "_mask", mask)
-        return self._exps, self._mask
+    def _along(self, cols: Sequence[int]) -> np.ndarray:
+        """Exponents at (i, cols[i]) for every row i, which must all be present."""
+        if self._mono is not None:
+            return np.array(self._mono[1], dtype=exponent_dtype(self.modulus))
+        return self._exps[np.arange(self.dim), list(cols)]
 
     def entry(self, i: int, j: int) -> Optional[ExactPhase]:
-        e, mask = self._dense()
-        return ExactPhase(Fraction(int(e[i, j]), self.modulus)) if mask[i, j] else None
+        if self._mono is not None:
+            cols, exps = self._mono
+            return ExactPhase(Fraction(exps[i], self.modulus)) if cols[i] == j else None
+        return ExactPhase(Fraction(int(self._exps[i, j]), self.modulus))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseMatrix):
@@ -313,8 +272,7 @@ class PhaseMatrix:
             return False
         if self._mono is not None or other._mono is not None:
             return self._mono == other._mono
-        return bool(np.array_equal(self._mask, other._mask)
-                    and np.array_equal(self._exps, other._exps))
+        return bool(np.array_equal(self._exps, other._exps))
 
     def __repr__(self) -> str:
         return f"PhaseMatrix(dim={self.dim}, amplitude={self.amplitude_tag})"
@@ -322,18 +280,16 @@ class PhaseMatrix:
     # -- algebra -------------------------------------------------------
 
     def __matmul__(self, other):
-        """Exact product when every result entry stays monomial, else complex.
-
-        Falls back to a dense complex product when some entry would be a
-        sum of phases or when both amplitudes are 1/sqrt(dim) (the product
-        amplitude 1/dim is outside the symbolic tags).
-        """
+        """Exact product; at least one factor must be monomial and at most
+        one scaled, else the product is no PhaseMatrix and ValueError is raised."""
         if not isinstance(other, PhaseMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.scaled and other.scaled:
-            return self.to_complex() @ other.to_complex()
+        if (self.scaled and other.scaled) or (self._mono is None and other._mono is None):
+            raise ValueError("this product has entries that are sums of phases or "
+                             "amplitude 1/dim, so it is no PhaseMatrix; "
+                             "np.asarray(a) @ b is the dense product")
         n = lcm(self.modulus, other.modulus)
         sa, sb = n // self.modulus, n // other.modulus
         scaled = self.scaled or other.scaled
@@ -342,16 +298,18 @@ class PhaseMatrix:
             return PhaseMatrix._from_monomial(
                 scaled, n, tuple(bc[c] for c in ac),
                 tuple((x * sa + be[c] * sb) % n for c, x in zip(ac, ae)))
-        ea, ma = self._dense()
-        eb, mb = other._dense()
-        terms = ma.astype(np.int64) @ mb.astype(np.int64)
-        if terms.max(initial=0) > 1:
-            return self.to_complex() @ other.to_complex()
-        # each result entry has at most one term a[i, k] b[k, j], and the
-        # exponents are 0 where the masks are False, so these sums pick it
         dt = exponent_dtype(n)
-        exps = (ea.astype(dt) * sa @ mb.astype(dt) + ma.astype(dt) @ (eb.astype(dt) * sb)) % n
-        return PhaseMatrix._from_arrays(self.dim, scaled, n, exps, terms > 0)
+        if self._mono is not None:
+            # (ab)[i, j] = a[i, c_i] b[c_i, j]: row c_i of b, shifted by a's phase
+            cols, exps = self._mono
+            out = (np.array(exps, dtype=dt)[:, None] * sa
+                   + other._exps[list(cols)].astype(dt) * sb)
+        else:
+            # (ab)[i, c_k] = a[i, k] b[k, c_k]: column k of a moves to column c_k
+            cols, exps = other._mono
+            out = np.empty((self.dim, self.dim), dtype=dt)
+            out[:, list(cols)] = self._exps.astype(dt) * sa + np.array(exps, dtype=dt) * sb
+        return PhaseMatrix._from_full(scaled, n, out % n)
 
     def dagger(self) -> "PhaseMatrix":
         n = self.modulus
@@ -363,11 +321,10 @@ class PhaseMatrix:
                 rows[c] = i
                 conj[c] = -e % n
             return PhaseMatrix._from_monomial(self.scaled, n, tuple(rows), tuple(conj))
-        e, mask = self._dense()
-        return PhaseMatrix._from_arrays(self.dim, self.scaled, n, -e.T % n, mask.T)
+        return PhaseMatrix._from_full(self.scaled, n, -self._exps.T % n)
 
-    def __pow__(self, k: int):
-        """Square-and-multiply; raises ValueError if a product leaves the exact form."""
+    def __pow__(self, k: int) -> "PhaseMatrix":
+        """Square-and-multiply; raises ValueError where a product is no PhaseMatrix."""
         if k < 0:
             return self.dagger() ** (-k)
         result, base = PhaseMatrix.identity(self.dim), self
@@ -377,8 +334,6 @@ class PhaseMatrix:
             k >>= 1
             if k:
                 base = base @ base
-            if isinstance(result, np.ndarray) or isinstance(base, np.ndarray):
-                raise ValueError("power left the exact monomial form")
         return result
 
     def scaled_by(self, phase: ExactPhase) -> "PhaseMatrix":
@@ -390,9 +345,8 @@ class PhaseMatrix:
             cols, exps = self._mono
             return PhaseMatrix._from_monomial(self.scaled, n, cols,
                                               tuple((e * s + shift) % n for e in exps))
-        e, mask = self._dense()
-        return PhaseMatrix._from_arrays(self.dim, self.scaled, n,
-                                        (e.astype(exponent_dtype(n)) * s + shift) % n, mask)
+        return PhaseMatrix._from_full(
+            self.scaled, n, (self._exps.astype(exponent_dtype(n)) * s + shift) % n)
 
     # -- numeric views ---------------------------------------------------
 
@@ -401,51 +355,26 @@ class PhaseMatrix:
         return self.to_complex()
 
     def to_complex(self) -> np.ndarray:
-        e, mask = self._dense()
         n = self.modulus
-        present = e[mask]
+        if self._mono is not None:
+            cols, exps = self._mono
+            where = (np.arange(self.dim), list(cols))
+            e = np.array(exps, dtype=exponent_dtype(n))
+        else:
+            where, e = ..., self._exps
         # the same float operations as ExactPhase.to_complex, one array pass
-        angle = 2.0 * pi * np.asarray(present / n, dtype=float)
+        angle = 2.0 * pi * np.asarray(e / n, dtype=float)
         re, im = np.cos(angle), np.sin(angle)
-        quarter = (4 * present) % n == 0
-        k = ((4 * present[quarter]) // n).astype(np.intp)
+        quarter = (4 * e) % n == 0
+        k = ((4 * e[quarter]) // n).astype(np.intp)
         re[quarter], im[quarter] = _QUARTER_RE[k], _QUARTER_IM[k]
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        out.real[mask] = self.amplitude * re
-        out.imag[mask] = self.amplitude * im
+        out.real[where] = self.amplitude * re
+        out.imag[where] = self.amplitude * im
         return out
 
     def trace(self) -> complex:
-        if self._mono is not None:
-            cols, exps = self._mono
-            diag = [e for i, (c, e) in enumerate(zip(cols, exps)) if c == i]
-        else:
-            e, mask = self._dense()
-            diag = np.diagonal(e)[np.diagonal(mask)].tolist()
-        return self.amplitude * _complex_sum(diag, self.modulus)
-
-
-def _store_arrays(m: PhaseMatrix, dim: int, scaled: bool, n: int, exps: np.ndarray,
-                  mask: np.ndarray) -> None:
-    """Set m's slots from exponents mod n and a mask, reducing n to lowest terms
-    and deriving the monomial view when m has one."""
-    exps = np.where(mask, exps, 0)
-    g = gcd(n, int(np.gcd.reduce(exps, axis=None)))
-    if g > 1:
-        n //= g
-        exps //= g
-    exps = exps.astype(exponent_dtype(n))
-    mono = None
-    if (np.count_nonzero(mask) == dim and np.all(mask.any(axis=0))
-            and np.all(mask.any(axis=1))):
-        rows, cols = np.nonzero(mask)  # row-major, so rows is 0..dim-1
-        mono = (tuple(cols.tolist()), tuple(exps[rows, cols].tolist()))
-    exps.flags.writeable = False
-    mask = mask.copy()
-    mask.flags.writeable = False
-    for name, value in (("dim", dim), ("scaled", bool(scaled)), ("modulus", n),
-                        ("_mono", mono), ("_exps", exps), ("_mask", mask)):
-        object.__setattr__(m, name, value)
+        return trace_pair(PhaseMatrix.identity(self.dim), self)
 
 
 def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
@@ -463,9 +392,12 @@ def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
         (ac, ae), (bc, be) = a._mono, b._mono
         exps = [(y * sb - x * sa) % n for c, x, c2, y in zip(ac, ae, bc, be) if c == c2]
     else:
-        ea, ma = a._dense()
-        eb, mb = b._dense()
-        both = ma & mb
+        if a._mono is None and b._mono is None:
+            ea, eb = a._exps, b._exps
+        else:
+            # a monomial factor pairs with the other one entry per row
+            cols = (a._mono or b._mono)[0]
+            ea, eb = a._along(cols), b._along(cols)
         dt = exponent_dtype(n)
-        exps = ((eb[both].astype(dt) * sb - ea[both].astype(dt) * sa) % n).tolist()
+        exps = ((eb.astype(dt) * sb - ea.astype(dt) * sa) % n).ravel().tolist()
     return a.amplitude * b.amplitude * _complex_sum(exps, n)

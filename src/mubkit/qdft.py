@@ -103,21 +103,20 @@ def _exponents(p: QdftParams) -> tuple[np.ndarray, int]:
     return row[:, None] + k[:, None] * k[None, :], 1
 
 
-def _build(p: QdftParams, e: np.ndarray, den: int, scaled: bool = True,
-           mask=None) -> Union[PhaseMatrix, np.ndarray]:
-    """Entries q**(e / den), times 1/sqrt(d) when scaled; zero where mask is False.
-
-    Exact phases for rational r, a dense complex array otherwise.
-    """
-    d = p.d
-    if p.exact:
-        return PhaseMatrix.from_exponents(d, e, scaled, den=den, mask=mask)
+def _unit_phases(e: np.ndarray, d: int) -> np.ndarray:
+    """exp(2*pi*i*e/d) for a float array e."""
     angle = 2.0 * pi * e / d
-    out = np.empty((d, d), dtype=complex)
+    out = np.empty(e.shape, dtype=complex)
     out.real, out.imag = np.cos(angle), np.sin(angle)
-    if mask is not None:
-        out[~mask] = 0
-    return out / sqrt(d) if scaled else out
+    return out
+
+
+def _build(p: QdftParams, e: np.ndarray, den: int) -> Union[PhaseMatrix, np.ndarray]:
+    """Entries q**(e / den) / sqrt(d): exact phases for rational r, a dense
+    complex array otherwise."""
+    if p.exact:
+        return PhaseMatrix.from_exponents(p.d, e, scaled=True, den=den)
+    return _unit_phases(e, p.d) / sqrt(p.d)
 
 
 def fra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
@@ -138,7 +137,9 @@ def dra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray
     p = QdftParams(d, r, a)
     e, den = _exponents(p)
     # column 0 of F_ra is row(n), since nm = 0 there
-    return _build(p, np.diag(e[:, 0]), den, scaled=False, mask=np.eye(p.d, dtype=bool))
+    if p.exact:
+        return PhaseMatrix.monomial(range(d), e[:, 0], den)
+    return np.diag(_unit_phases(e[:, 0], d))
 
 
 def forward(x, d: int, r: Real = 0, a: int = 0) -> np.ndarray:

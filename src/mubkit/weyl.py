@@ -18,8 +18,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .phases import (ExactPhase, PhaseMatrix, ONE, as_fraction, half_turn_power,
-                     q_power, trace_pair)
+from .phases import ExactPhase, PhaseMatrix, as_fraction, q_power, trace_pair
 from .qdft import fra_matrix, hra_matrix
 
 Rational = Union[int, Fraction]
@@ -82,8 +81,10 @@ def z_matrix(d: int) -> PhaseMatrix:
 
 def pr_matrix(d: int, r: Rational) -> PhaseMatrix:
     """diag(1, ..., 1, exp(i*pi*(d-1)*r)); r must be rational for exactness."""
-    corner = half_turn_power(as_fraction(r) * (d - 1))
-    return PhaseMatrix.diagonal([ONE] * (d - 1) + [corner])
+    r = as_fraction(r)
+    # the corner e^{i*pi*(d-1)r} is q^{d(d-1)r/2}
+    return PhaseMatrix.monomial(range(d), [0] * (d - 1) + [d * (d - 1) * r.numerator],
+                                2 * r.denominator)
 
 
 def vra_band_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
@@ -98,14 +99,12 @@ def vra_band_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
 
 def vra_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
     """V_ra = P_r X Z^a, identical to the explicit band matrix."""
-    m = pr_matrix(d, r) @ x_matrix(d) @ (z_matrix(d) ** (a % d))
-    assert isinstance(m, PhaseMatrix)
-    return m
+    return pr_matrix(d, r) @ x_matrix(d) @ (z_matrix(d) ** (a % d))
 
 
 def vra_power_phase(d: int, r: Rational, a: int) -> ExactPhase:
     """Global phase of (V_ra)^d, namely exp(i*pi*(d-1)(r+a))."""
-    return half_turn_power((as_fraction(r) + a) * (d - 1))
+    return q_power(2, (as_fraction(r) + a) * (d - 1))
 
 
 def expected_vra_eigenvalues(d: int, r: Rational = 0, a: int = 0) -> np.ndarray:
@@ -222,7 +221,6 @@ def t_matrix(d: int, s: SineIndex | tuple[int, int]) -> PhaseMatrix:
     """Sine-algebra generator T_(n1,n2) = q^{n1 n2/2} Z^{n1} X^{n2}."""
     n1, n2 = s
     m = (z_matrix(d) ** (n1 % d)) @ (x_matrix(d) ** (n2 % d))
-    assert isinstance(m, PhaseMatrix)
     return m.scaled_by(q_power(d, Fraction(n1 * n2, 2)))
 
 

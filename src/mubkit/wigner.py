@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import exp, lgamma, sqrt
 from typing import Iterable
 
-from .phases import q_power
+from .phases import _phase_complex
 
 __all__ = [
     "wigner_3jm",
@@ -106,8 +106,8 @@ def _m_range(two_j: int) -> Iterable[int]:
 
 
 def _alpha_phase(two_j: int, two_m: int, alpha: int, sign: int) -> complex:
-    """(q_j)^{sign * (j+m) * alpha} as an exact phase, q_j = exp(2*pi*i/(2j+1))."""
-    return q_power(two_j + 1, sign * ((two_j + two_m) // 2) * alpha).to_complex()
+    """(q_j)^{sign * (j+m) * alpha}, q_j = exp(2*pi*i/(2j+1)), exact on quarter turns."""
+    return _phase_complex(sign * ((two_j + two_m) // 2) * alpha % (two_j + 1), two_j + 1)
 
 
 def cg_alpha(two_j1: int, two_j2: int, alpha1: int, alpha2: int,
@@ -180,9 +180,9 @@ def fbar_conjugation_factor(two_j1: int, two_j2: int, two_j3: int,
     _check_alphas((two_j1, alpha1), (two_j2, alpha2), (two_j3, alpha3))
     sign = (-1) ** ((two_j1 + two_j2 + two_j3) // 2)
     return (sign
-            * q_power(two_j1 + 1, -alpha1).to_complex()
-            * q_power(two_j2 + 1, -alpha2).to_complex()
-            * q_power(two_j3 + 1, -alpha3).to_complex())
+            * _phase_complex(-alpha1 % (two_j1 + 1), two_j1 + 1)
+            * _phase_complex(-alpha2 % (two_j2 + 1), two_j2 + 1)
+            * _phase_complex(-alpha3 % (two_j3 + 1), two_j3 + 1))
 
 
 def basis_change_coeff(two_j: int, two_m: int, alpha: int) -> complex:

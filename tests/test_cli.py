@@ -320,3 +320,39 @@ def test_fbar_spin_bound(capsys):
     assert "2j = 42 exceeds 40" in err and "accuracy" in err
     code, _, _ = run(capsys, "fbar", "--j", "20,20,1", "--alpha", "0,0,0", "--format", "json")
     assert code == 0
+
+
+def test_verify_dimension_bound(capsys):
+    from mubkit import cli
+    assert cli.MAX_VERIFY_D == 32
+    code, out, err = run(capsys, "verify", "qdft", "--d-max", "33")
+    assert code == 2 and out == ""
+    assert "--d-max 33 exceeds 32" in err and "d_max^4" in err
+    # the benchmark and acceptance criterion 12 sweep up to 13
+    assert run(capsys, "verify", "mub", "--d-max", "13", "--format", "json")[0] == 0
+
+
+def test_transform_dimension_bound(tmp_path, capsys):
+    from mubkit import cli
+    assert cli.MAX_TRANSFORM_D == 2000
+    path = tmp_path / "x.csv"
+    path.write_text("1,0\n")
+    code, out, err = run(capsys, "transform", "--d", "2001", "--in", str(path))
+    assert code == 2 and out == ""
+    assert "--d 2001 exceeds 2000" in err and "memory grows as d^2" in err
+    path.write_text("\n".join(["1,0"] + ["0,0"] * 1999))
+    code, out, _ = run(capsys, "transform", "--d", "2000", "--in", str(path),
+                       "--format", "json")
+    assert code == 0 and len(parse_document(out)["payload"]["entries"]) == 2000
+
+
+def test_phase_payload_neither_monomial_nor_full_is_usage_error():
+    from mubkit.cli import UsageError
+    payload = {"type": "phase_matrix", "dim": 2, "amplitude": "1",
+               "entries": [[[0, 1], [1, 2]], [[1, 3], None]]}
+    with pytest.raises(UsageError, match="monomial .* or full"):
+        payload_to_matrix(payload)
+    # a row with two entries and a row with none is not monomial either
+    payload["entries"] = [[[0, 1], [1, 2]], [None, None]]
+    with pytest.raises(UsageError, match="monomial .* or full"):
+        payload_to_matrix(payload)

@@ -1,21 +1,24 @@
 """Property tests of the PhaseMatrix kernel against two references.
 
+The matrices are monomial or full, the two shapes a PhaseMatrix has.
 The first reference keeps every entry as a Fraction of a turn (or None
-for exact zero) and multiplies entry by entry, as the kernel did before
-it stored integer exponent arrays; exact results must equal it.  The
-second is the dense complex view, np.asarray(m, dtype=complex); every
-result, and every dense fallback, must agree with it within 1e-12.
+for exact zero) and multiplies entry by entry; exact results must equal
+it, and a product it cannot hold as one phase per entry must raise
+ValueError.  The second is the dense complex view,
+np.asarray(m, dtype=complex); every result must agree with it within
+1e-12.
 """
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mubkit.cli import payload_to_matrix, phase_matrix_payload
 from mubkit.phases import ExactPhase, PhaseMatrix, trace_pair
 from mubkit.qdft import dra_matrix, fra_matrix, hra_matrix
 
@@ -83,8 +86,16 @@ def table(m):
 
 
 def build(turns, scaled):
-    return PhaseMatrix([[None if t is None else ExactPhase(t) for t in row]
-                        for row in turns], scaled)
+    """PhaseMatrix of a monomial or full table of turns (None for zero)."""
+    dim = len(turns)
+    den = lcm(*(t.denominator for row in turns for t in row if t is not None))
+    # a turn t is q**(e / den) with q = exp(2*pi*i/dim) and e = t * den * dim
+    exps = [[None if t is None else t.numerator * (den // t.denominator) * dim for t in row]
+            for row in turns]
+    if all(e is not None for row in exps for e in row):
+        return PhaseMatrix.from_exponents(dim, exps, scaled, den)
+    cols = [next(j for j, e in enumerate(row) if e is not None) for row in exps]
+    return PhaseMatrix.monomial(cols, [row[c] for row, c in zip(exps, cols)], den, scaled)
 
 
 def dense(m):
@@ -107,16 +118,15 @@ def monomial_tables(draw, dim):
 
 
 @st.composite
-def dense_tables(draw, dim):
+def full_tables(draw, dim):
     n = draw(moduli)
-    return [[draw(st.one_of(st.none(), st.integers(0, n - 1).map(lambda e: Fraction(e, n))))
-             for _ in range(dim)] for _ in range(dim)]
+    return [[Fraction(draw(st.integers(0, n - 1)), n) for _ in range(dim)] for _ in range(dim)]
 
 
 @st.composite
 def matrix_pairs(draw):
     dim = draw(st.integers(1, 5))
-    tables = st.one_of(monomial_tables(dim), dense_tables(dim))
+    tables = st.one_of(monomial_tables(dim), full_tables(dim))
     return (draw(tables), draw(st.booleans()), draw(tables), draw(st.booleans()))
 
 
@@ -145,15 +155,17 @@ def test_round_trip_equality_and_dagger(pair):
 def test_matmul_matches_both_references(pair):
     ta, sa, tb, sb = pair
     a, b = build(ta, sa), build(tb, sb)
-    got = a @ b
     want = dense(a) @ dense(b)
     ref = None if sa and sb else ref_product(ta, tb)
     if ref is None:
-        assert isinstance(got, np.ndarray)
-    else:
-        assert isinstance(got, PhaseMatrix)
-        assert table(got) == ref
-        assert got.scaled == (sa or sb)
+        with pytest.raises(ValueError, match=r"np\.asarray\(a\) @ b"):
+            a @ b
+        assert np.max(np.abs(np.asarray(a) @ b - want)) < TOL
+        return
+    got = a @ b
+    assert isinstance(got, PhaseMatrix)
+    assert table(got) == ref
+    assert got.scaled == (sa or sb)
     assert np.max(np.abs(dense(got) - want)) < TOL
 
 
@@ -210,6 +222,14 @@ def test_trace_and_trace_pair_match_both_references(pair):
     exact = ref_exact_sum(terms)
     if exact is not None:
         assert got == a.amplitude * b.amplitude * exact
+
+
+@PROPERTY_SETTINGS
+@given(matrix_pairs())
+def test_payload_round_trip(pair):
+    ta, sa, _, _ = pair
+    m = build(ta, sa)
+    assert payload_to_matrix(phase_matrix_payload(m)) == m
 
 
 def test_exact_results_are_builtin_types():

@@ -4,63 +4,61 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mubkit.phases import (ExactPhase, PhaseMatrix, ONE, MINUS_ONE,
-                           phase_from_fraction, q_power, trace_pair)
+from mubkit.phases import ExactPhase, PhaseMatrix, q_power, trace_pair
 from mubkit.qdft import fra_matrix
 from mubkit.weyl import x_matrix, z_matrix
 
 
+ONE = ExactPhase(0)
+MINUS_ONE = ExactPhase(Fraction(1, 2))
+
+
 def test_from_fraction_identity():
-    assert phase_from_fraction(0, 1).turns == 0
+    assert ExactPhase(Fraction(0, 1)).turns == 0
 
 
 def test_from_fraction_half_turn():
-    p = phase_from_fraction(1, 2)
+    p = ExactPhase(Fraction(1, 2))
     assert p.turns == Fraction(1, 2)
     assert p.to_complex() == -1
 
 
 def test_from_fraction_reduces_mod_one():
     # 7/6 of a turn is the same point as 1/6
-    assert phase_from_fraction(7, 6).turns == Fraction(1, 6)
-
-
-def test_from_fraction_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        phase_from_fraction(1, 0)
+    assert ExactPhase(Fraction(7, 6)).turns == Fraction(1, 6)
 
 
 def test_mul_full_turn():
-    assert phase_from_fraction(1, 3) * phase_from_fraction(2, 3) == ONE
+    assert ExactPhase(Fraction(1, 3)) * ExactPhase(Fraction(2, 3)) == ONE
 
 
 def test_mul_i_squared():
-    i = phase_from_fraction(1, 4)
+    i = ExactPhase(Fraction(1, 4))
     assert i * i == MINUS_ONE
 
 
 def test_mul_rational_addition():
-    got = phase_from_fraction(1, 6) * phase_from_fraction(1, 2)
+    got = ExactPhase(Fraction(1, 6)) * ExactPhase(Fraction(1, 2))
     assert got.turns == Fraction(1, 6) + Fraction(1, 2)  # 2/3
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
 def test_pow_dth_power_of_root(d):
-    assert phase_from_fraction(1, d) ** d == ONE
+    assert ExactPhase(Fraction(1, d)) ** d == ONE
 
 
 def test_pow_inverse():
-    assert (phase_from_fraction(1, 3) ** -1).turns == Fraction(2, 3)
+    assert (ExactPhase(Fraction(1, 3)) ** -1).turns == Fraction(2, 3)
 
 
 def test_pow_wraps():
-    assert (phase_from_fraction(1, 5) ** 7).turns == Fraction(2, 5)
+    assert (ExactPhase(Fraction(1, 5)) ** 7).turns == Fraction(2, 5)
 
 
 def test_to_complex_special_values():
     assert ExactPhase(0).to_complex() == 1
-    assert phase_from_fraction(1, 4).to_complex() == 1j
-    third = phase_from_fraction(1, 3).to_complex()
+    assert ExactPhase(Fraction(1, 4)).to_complex() == 1j
+    third = ExactPhase(Fraction(1, 3)).to_complex()
     assert abs(third - complex(-0.5, np.sqrt(3) / 2)) < 1e-15
 
 
@@ -82,13 +80,13 @@ def test_mul_commutative_associative():
 
 
 def test_pow_zero_and_period():
-    p = phase_from_fraction(3, 7)
+    p = ExactPhase(Fraction(3, 7))
     assert p ** 0 == ONE
     assert p ** p.turns.denominator == ONE
 
 
 def test_immutable():
-    p = phase_from_fraction(1, 3)
+    p = ExactPhase(Fraction(1, 3))
     with pytest.raises(AttributeError):
         p.turns = Fraction(1, 2)
 
@@ -107,9 +105,26 @@ def test_matrix_mul_weyl_commutation_d3():
 
 def test_matrix_mul_scaled_product_goes_complex():
     f = fra_matrix(4)
-    prod = f.dagger() @ f
-    assert isinstance(prod, np.ndarray)
+    with pytest.raises(ValueError, match=r"np\.asarray\(a\) @ b"):
+        f.dagger() @ f
+    prod = np.asarray(f.dagger()) @ f
     assert np.max(np.abs(prod - np.eye(4))) < 1e-12
+
+
+def test_matrix_mul_two_shapes():
+    f = PhaseMatrix.from_exponents(3, [[0, 1, 2], [2, 2, 0], [1, 0, 1]])
+    v = PhaseMatrix.monomial([2, 0, 1], [1, 0, 2], den=2)
+    for got, want in ((v @ f, v.to_complex() @ f.to_complex()),
+                      (f @ v, f.to_complex() @ v.to_complex())):
+        assert got.monomial_view is None and got.exponents is not None
+        assert np.max(np.abs(got.to_complex() - want)) < 1e-12
+    # full @ full sums phases; two 1/sqrt(3) factors give amplitude 1/3
+    scaled_z = PhaseMatrix.monomial([0, 1, 2], [0, 1, 2], scaled=True)
+    scaled_x = PhaseMatrix.monomial([1, 2, 0], [0, 0, 0], scaled=True)
+    for a, b in ((f, f), (scaled_z, scaled_x)):
+        with pytest.raises(ValueError, match=r"np\.asarray\(a\) @ b"):
+            a @ b
+        assert np.max(np.abs(np.asarray(a) @ b - a.to_complex() @ b.to_complex())) < 1e-12
 
 
 def test_matrix_mul_dimension_mismatch():
@@ -131,7 +146,7 @@ def test_matrix_pow_negative_uses_dagger():
 
 
 def test_diagonal_and_amplitude_tags():
-    m = PhaseMatrix.diagonal([ONE, MINUS_ONE], scaled=True)
+    m = PhaseMatrix.monomial([0, 1], [0, 1], scaled=True)
     assert m.amplitude_tag == "1/sqrt(2)"
     assert m.amplitude == pytest.approx(1 / np.sqrt(2))
     assert PhaseMatrix.identity(2).amplitude_tag == "1"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mubkit.phases import PhaseMatrix, q_power, half_turn_power
+from mubkit.phases import PhaseMatrix, q_power
 from mubkit.weyl import (PauliGroupElement, x_matrix, z_matrix, pr_matrix,
                          vra_q_commutation_checks,
                          vra_matrix, vra_band_matrix, vra_power_phase,
@@ -39,8 +39,8 @@ def test_vra_d2_layout():
     for a in (0, 1):
         for r in (0, 1, Fraction(1, 2)):
             v = vra_matrix(2, r, a)
-            assert v.entry(0, 1) == half_turn_power(a)
-            assert v.entry(1, 0) == half_turn_power(Fraction(r))
+            assert v.entry(0, 1) == q_power(2, a)
+            assert v.entry(1, 0) == q_power(2, Fraction(r))
             assert v.entry(0, 0) is None and v.entry(1, 1) is None
 
 
@@ -299,7 +299,7 @@ def test_vra_power_law_and_dth_power(d):
 def test_nilpotency_relation(d):
     for r in (0, 1, Fraction(2, 3)):
         v0 = vra_matrix(d, r, 0)
-        lhs = (v0 ** d).scaled_by(half_turn_power(-Fraction(r) * (d - 1)))
+        lhs = (v0 ** d).scaled_by(q_power(2, -Fraction(r) * (d - 1)))
         assert lhs == PhaseMatrix.identity(d)
         assert z_matrix(d) ** d == PhaseMatrix.identity(d)
 
