@@ -20,9 +20,9 @@ from typing import Union
 
 import numpy as np
 
-from .phases import PhaseMatrix, trace_pair
+from .phases import PhaseMatrix, pairwise_products
 from .qdft import fra_matrix, gauss_sum, hra_matrix, is_generalized_hadamard
-from .weyl import u_ab
+from .weyl import pauli_trace_orthogonality, u_ab
 
 Real = Union[int, Fraction, float]
 
@@ -265,12 +265,10 @@ def commuting_classes(p: int) -> list[CommutingClass]:
 
 
 def class_commutes_exactly(p: int, cls: CommutingClass) -> bool:
-    mats = [u_ab(p, idx) for idx in cls.members]
-    for i, left in enumerate(mats):
-        for right in mats[i + 1:]:
-            if left @ right != right @ left:
-                return False
-    return True
+    """A @ B == B @ A exactly for every pair of the class, all products at once."""
+    _, cols, exps = pairwise_products([u_ab(p, idx) for idx in cls.members])
+    return bool(np.array_equal(cols, cols.swapaxes(0, 1))
+                and np.array_equal(exps, exps.swapaxes(0, 1)))
 
 
 @dataclass(frozen=True)
@@ -310,16 +308,8 @@ def sl_partition_check(p: int) -> PartitionReport:
     union_complete = (total == p * p - 1
                       and seen == {(a, b) for a in range(p) for b in range(p)} - {(0, 0)})
     all_abelian = all(class_commutes_exactly(p, cls) for cls in classes)
-
-    labels = [(a, b) for a in range(p) for b in range(p)]
-    mats = {idx: u_ab(p, idx) for idx in labels}
-    gram_residual = 0.0
-    for i, li in enumerate(labels):
-        for lj in labels[i:]:
-            want = p if li == lj else 0
-            gram_residual = max(gram_residual,
-                                abs(trace_pair(mats[li], mats[lj]) - want))
-    return PartitionReport(p, disjoint, union_complete, all_abelian, gram_residual)
+    return PartitionReport(p, disjoint, union_complete, all_abelian,
+                           pauli_trace_orthogonality(p))
 
 
 def phase_insensitive_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:

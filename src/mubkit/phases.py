@@ -22,6 +22,10 @@ rows or columns.  A product whose entries would be sums of phases (full
 no PhaseMatrix and raises ValueError; ``np.asarray(a) @ b`` is the dense
 product.  Exponents are int64 while every sum of two of them stays below
 2**53, and Python integers beyond that, so no operation overflows.
+
+Families of monomial matrices have two batched kernels: ``trace_gram``
+(every tr(a^dag b) of the family, equal to ``trace_pair`` pair by pair)
+and ``pairwise_products`` (every a @ b of the family as stacked arrays).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import cos, gcd, lcm, pi, sin, sqrt
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -401,3 +405,118 @@ def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
         dt = exponent_dtype(n)
         exps = ((eb.astype(dt) * sb - ea.astype(dt) * sa) % n).ravel().tolist()
     return a.amplitude * b.amplitude * _complex_sum(exps, n)
+
+
+# trial division for the primes of a common modulus stops at this factor;
+# a cofactor it leaves unresolved sends trace_gram to the per-pair path
+_TRIAL_LIMIT = 1 << 12
+# most exponent differences trace_gram holds at once
+_GRAM_BLOCK = 1 << 18
+
+
+def _prime_factors(n: int) -> Optional[list[int]]:
+    """The distinct primes of n, or None when trial division up to
+    _TRIAL_LIMIT leaves a composite-or-prime cofactor it cannot tell apart."""
+    primes, f = [], 2
+    while f * f <= n:
+        if f > _TRIAL_LIMIT:
+            return None
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _stack(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
+    """Common modulus N of a monomial family, and the column and the
+    exponent mod N of every row, as two len(mats) x dim arrays."""
+    if any(m._mono is None for m in mats):
+        raise ValueError("a batched kernel needs monomial matrices")
+    if len({m.dim for m in mats}) > 1:
+        raise ValueError("dimension mismatch")
+    dim = mats[0].dim if mats else 0
+    n = lcm(*(m.modulus for m in mats))
+    dt = exponent_dtype(n)
+    cols = np.array([m._mono[0] for m in mats], dtype=np.intp).reshape(len(mats), dim)
+    exps = np.array([m._mono[1] for m in mats], dtype=dt).reshape(len(mats), dim)
+    scale = np.array([n // m.modulus for m in mats], dtype=dt)
+    return n, cols, exps * scale[:, None]
+
+
+def trace_gram(mats: Sequence[PhaseMatrix]
+               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """tr(mats[i]^dag mats[j]) over a family of monomial matrices, block by block.
+
+    Yields (i, j, traces): two index arrays and the traces of those pairs,
+    each equal to trace_pair(mats[i], mats[j]).  A pair in no block shares
+    no position, so its trace is exactly 0j.
+
+    The family is grouped by column pattern.  Matrices of one pattern
+    share every position, so the exponent differences of all their pairs
+    form one array, and every pair is decided at once with the shortcuts
+    of _exact_sum: all differences equal, or a multiset invariant under
+    the shift N/p for a prime p | N (a multiset invariant under any
+    nontrivial shift is invariant under one of prime order).  Only the
+    pairs neither decides are summed one by one.  Pairs from two patterns
+    that share some positions, and every pair when N does not factor by
+    trial division, go through trace_pair.
+    """
+    mats = list(mats)
+    if not mats:
+        return
+    n, cols, exps = _stack(mats)
+    patterns, group = np.unique(cols, axis=0, return_inverse=True)
+    members = [np.flatnonzero(group.ravel() == g) for g in range(len(patterns))]
+    primes = _prime_factors(n)
+    for g, own in enumerate(members):
+        for h in np.flatnonzero((patterns == patterns[g]).any(axis=1)):
+            if h == g and primes is not None:
+                yield from _pattern_gram(mats, own, exps[own], n, primes)
+            else:
+                i, j = (a.ravel() for a in np.meshgrid(own, members[h], indexing="ij"))
+                yield i, j, np.array([trace_pair(mats[x], mats[y]) for x, y in zip(i, j)],
+                                     dtype=complex)
+
+
+def _pattern_gram(mats: list[PhaseMatrix], idx: np.ndarray, exps: np.ndarray, n: int,
+                  primes: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """trace_gram blocks of one column pattern: exps holds the exponents of
+    the matrices idx, which share every position."""
+    k, dim = exps.shape
+    step = max(1, _GRAM_BLOCK // (k * dim))
+    for start in range(0, k, step):
+        rows = slice(start, start + step)
+        # diff[(x, y)] = e_y - e_x, the exponents tr(x^dag y) sums
+        diff = ((exps[None, :, :] - exps[rows, None, :]) % n).reshape(-1, dim)
+        i = np.repeat(idx[rows], k)
+        j = np.tile(idx, len(i) // k)
+        equal = (diff == diff[:, :1]).all(axis=1)
+        srt = np.sort(diff, axis=1)
+        cancel = np.zeros(len(diff), dtype=bool)
+        for p in primes:
+            cancel |= (np.sort((srt + n // p) % n, axis=1) == srt).all(axis=1)
+        # a cancelling pair traces to amplitude * 0j, which is 0j
+        traces = np.zeros(len(diff), dtype=complex)
+        for t in np.flatnonzero(~cancel):
+            total = (dim * _phase_complex(int(diff[t, 0]), n) if equal[t]
+                     else _complex_sum(diff[t].tolist(), n))
+            traces[t] = mats[i[t]].amplitude * mats[j[t]].amplitude * total
+        yield i, j, traces
+
+
+def pairwise_products(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
+    """Every product of a monomial family at once: (N, cols, exps), where
+    cols[i, j] and exps[i, j] are the column and the exponent mod N of
+    each row of mats[i] @ mats[j].  The amplitude is left out."""
+    n, cols, exps = _stack(mats)
+    k, dim = cols.shape
+    # row r of a @ b sits in column b[a[r]], with exponent e_a[r] + e_b[a[r]]
+    through = np.broadcast_to(cols[:, None, :], (k, k, dim))
+    out_cols = np.take_along_axis(np.broadcast_to(cols[None], (k, k, dim)), through, axis=2)
+    out_exps = (exps[:, None, :]
+                + np.take_along_axis(np.broadcast_to(exps[None], (k, k, dim)), through, axis=2)) % n
+    return n, out_cols, out_exps

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .phases import as_fraction, is_rational, q_power
+from .phases import _phase_complex, as_fraction, is_rational
 
 Real = Union[int, Fraction, float]
 
@@ -232,7 +232,10 @@ def su2_generators(j: Real, r: Real = 0, a: int = 0) -> Su2Triple:
 def _q(d: int, e) -> complex:
     """q**e for q = exp(2*pi*i/d): an exact phase for rational e, else cmath."""
     if is_rational(e):
-        return q_power(d, e).to_complex()
+        # e = u/v is the turn u/(dv), evaluated on integers
+        e = Fraction(e)
+        n = d * e.denominator
+        return _phase_complex(e.numerator % n, n)
     return cmath.exp(2j * pi * e / d)
 
 

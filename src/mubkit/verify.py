@@ -13,12 +13,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
+from math import lcm
 
 import numpy as np
 
 from . import mub, qdft, quon, weyl, wigner
-from .phases import PhaseMatrix, q_power
+from .phases import PhaseMatrix, exponent_dtype, q_power
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_passed"]
 
@@ -138,6 +138,31 @@ def verify_weyl(d_max: int = 8, seed: int = 0) -> list[CheckResult]:
 
 # -- qdft --------------------------------------------------------------------
 
+def _row_symmetry_holds(f: PhaseMatrix, d: int, r, a: int) -> bool:
+    """The row symmetry of f = F_ra (d >= 2), lead = (d-1)(r+a)/2:
+    row n-1 is row n times q^{lead - alpha + n a} for n = 1..d-1, and row
+    d-1 is row 0 times q^{lead - alpha} e^{-i pi (d-1) r}.
+
+    With r = u/v and w = 2dv, every phase involved is q^{x/(2v)}, the
+    turn x/w, so both sides are exponents over M = lcm(N, w) and rows
+    compare as integer arrays.
+    """
+    r = Fraction(r)
+    u, v = r.numerator, r.denominator
+    w = 2 * d * v
+    m = lcm(f.modulus, w)
+    dt = exponent_dtype(m)
+    e = f.exponents.astype(dt) * (m // f.modulus)
+    # q^{lead - alpha} for every column alpha, as x/(2v); reducing x mod w
+    # before scaling keeps every term below M
+    x = (d - 1) * (u + a * v) - 2 * v * np.arange(d, dtype=dt)
+    n = np.arange(1, d, dtype=dt)[:, None]
+    step = (x + 2 * v * a * n) % w * (m // w)
+    corner = x % w * (m // w) + (-(d - 1) * u) % (2 * v) * (m // (2 * v))
+    return bool(np.all((e[:-1] - e[1:] - step) % m == 0)
+                and np.all((e[-1] - e[0] - corner) % m == 0))
+
+
 def verify_qdft(d_max: int = 8, seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     dims = range(2, max(d_max, 2) + 1)
@@ -159,17 +184,8 @@ def verify_qdft(d_max: int = 8, seed: int = 0) -> list[CheckResult]:
                        == qdft.fra_matrix(d, r, a))
     out.append(CheckResult("qdft.gaussian_factorization", _exact(ok), 0.0))
 
-    ok = True
-    for d in dims:
-        for r in (0, 1):
-            for a in range(d):
-                f = qdft.fra_matrix(d, r, a)
-                lead = Fraction(d - 1, 2) * (Fraction(r) + a)
-                corner = q_power(d, Fraction(-d * (d - 1), 2) * Fraction(r))
-                for al in range(d):
-                    ok &= f.entry(d - 1, al) == f.entry(0, al) * q_power(d, lead - al) * corner
-                    for n in range(1, d):
-                        ok &= f.entry(n - 1, al) == f.entry(n, al) * q_power(d, lead - al + n * a)
+    ok = all(_row_symmetry_holds(qdft.fra_matrix(d, r, a), d, r, a)
+             for d in dims for r in (0, 1) for a in range(d))
     out.append(CheckResult("qdft.row_symmetry", _exact(ok), 0.0))
 
     worst = 0.0

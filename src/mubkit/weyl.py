@@ -18,7 +18,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .phases import ExactPhase, PhaseMatrix, as_fraction, q_power, trace_pair
+from .phases import ExactPhase, PhaseMatrix, as_fraction, q_power, trace_gram
 from .qdft import fra_matrix, hra_matrix
 
 Rational = Union[int, Fraction]
@@ -168,13 +168,9 @@ def pauli_trace_orthogonality(d: int) -> float:
     Traces are taken on the exact product diagonals, so the return value
     is 0.0 whenever every pairing cancels or matches exactly.
     """
-    mats = {(a, b): u_ab(d, (a, b)) for a in range(d) for b in range(d)}
     worst = 0.0
-    for (a, b), left in mats.items():
-        for (a2, b2), right in mats.items():
-            tr = trace_pair(left, right)
-            want = d if (a, b) == (a2, b2) else 0
-            worst = max(worst, abs(tr - want))
+    for i, j, tr in trace_gram([u_ab(d, (a, b)) for a in range(d) for b in range(d)]):
+        worst = max(worst, float(np.max(np.abs(tr - d * (i == j)))))
     return worst
 
 

@@ -4,7 +4,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mubkit.mub import (Basis, is_prime, mub_prime, mub_three,
+from mubkit.mub import (Basis, CommutingClass, is_prime, mub_prime, mub_three,
                         unbiasedness, orthonormality, max_pairwise_deviation,
                         gauss_inner_product, product_hadamard, mub_dim4,
                         entanglement_det, commuting_classes, sl_partition_check,
@@ -249,6 +249,14 @@ def test_classes_commute_exactly(p):
         assert class_commutes_exactly(p, cls)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shift_and_clock_do_not_commute(p):
+    # X Z = q Z X with q != 1, so a class holding both is not abelian
+    assert not class_commutes_exactly(p, CommutingClass(0, [(1, 0), (0, 1)]))
+    assert not class_commutes_exactly(p, CommutingClass(0, commuting_classes(p)[2].members
+                                                        + [(0, 1)]))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_class_contains_vra_and_shares_eigenvectors(p):
     classes = commuting_classes(p)
@@ -283,6 +291,11 @@ def test_sl_partition_check(p):
     assert report.disjoint and report.union_complete and report.all_abelian
     assert report.gram_residual == 0.0
     assert bool(report)
+
+
+def test_sl_partition_check_at_p61_is_exact():
+    report = sl_partition_check(61)
+    assert report.ok and type(report.gram_residual) is float
 
 
 def test_phase_insensitive_comparator():

@@ -19,8 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mubkit.cli import payload_to_matrix, phase_matrix_payload
-from mubkit.phases import ExactPhase, PhaseMatrix, trace_pair
+from mubkit.phases import (ExactPhase, PhaseMatrix, _complex_sum, pairwise_products,
+                           trace_gram, trace_pair)
 from mubkit.qdft import dra_matrix, fra_matrix, hra_matrix
+from mubkit.weyl import u_ab
 
 TOL = 1e-12
 
@@ -266,3 +268,104 @@ def test_huge_denominator_matches_fraction_reference(r):
     assert abs(trace_pair(other, dr) - np.trace(dense(other).conj().T @ dense(dr))) < TOL
     assert np.max(np.abs(dense(f) - np.exp(2j * np.pi * np.array(
         [[float(t) for t in row] for row in want])) / np.sqrt(d))) < TOL
+
+
+# -- batched kernels over monomial families --------------------------------------
+
+# moduli beyond int64 that still factor by trial division, so families over
+# them take the batched path on Python-int exponents
+SMOOTH_LARGE_MODULI = [2 ** 60, 3 ** 38, 2 ** 30 * 3 ** 20 * 5 ** 5]
+
+
+@st.composite
+def monomial_families(draw):
+    """2-7 monomial matrices of one dim over mixed moduli.  Column patterns
+    come from the cyclic shifts (pairwise disjoint) and a few random
+    permutations (which partly overlap them); a member may repeat an
+    earlier one up to a global phase, so all-equal differences occur."""
+    dim = draw(st.integers(1, 5))
+    patterns = [tuple((i + s) % dim for i in range(dim)) for s in range(dim)]
+    patterns += draw(st.lists(st.permutations(range(dim)).map(tuple), max_size=2))
+    mats = []
+    for _ in range(draw(st.integers(2, 7))):
+        if mats and draw(st.booleans()):
+            m = draw(st.sampled_from(mats))
+            mats.append(m.scaled_by(ExactPhase(Fraction(draw(st.integers(0, 11)), 12))))
+            continue
+        n = draw(st.one_of(moduli, st.sampled_from(SMOOTH_LARGE_MODULI)))
+        cols = draw(st.sampled_from(patterns))
+        exps = draw(st.lists(st.one_of(st.integers(0, n - 1), st.sampled_from([0, n // 2])),
+                             min_size=dim, max_size=dim))
+        # entry q**(e / n) with q = exp(2*pi*i/dim), here a turn e / (dim * n)
+        mats.append(PhaseMatrix.monomial(cols, exps, n, draw(st.booleans())))
+    return mats
+
+
+def gram_dict(mats):
+    got = {}
+    for i, j, traces in trace_gram(mats):
+        assert len(i) == len(j) == len(traces)
+        for x, y, t in zip(i.tolist(), j.tolist(), traces.tolist()):
+            assert (x, y) not in got
+            got[x, y] = t
+    return got
+
+
+@PROPERTY_SETTINGS
+@given(monomial_families())
+def test_trace_gram_equals_trace_pair_for_every_pair(mats):
+    got = gram_dict(mats)
+    for x, a in enumerate(mats):
+        for y, b in enumerate(mats):
+            want = trace_pair(a, b)
+            value = got.get((x, y), 0j)
+            assert value == want and repr(value) == repr(want)
+
+
+@PROPERTY_SETTINGS
+@given(monomial_families())
+def test_pairwise_products_equal_matmul(mats):
+    n, cols, exps = pairwise_products(mats)
+    for x, a in enumerate(mats):
+        for y, b in enumerate(mats):
+            if a.scaled and b.scaled:
+                continue  # a @ b raises: its amplitude would be 1/dim
+            prod = a @ b
+            pc, pe = prod.monomial_view
+            assert tuple(cols[x, y].tolist()) == pc
+            assert [Fraction(int(e), n) for e in exps[x, y]] == [Fraction(e, prod.modulus)
+                                                                for e in pe]
+
+
+@pytest.mark.parametrize("d", range(1, 14))
+def test_trace_gram_matches_trace_pair_on_every_pauli_pair(d):
+    mats = [u_ab(d, (a, b)) for a in range(d) for b in range(d)]
+    got = gram_dict(mats)
+    # the u_ab with equal a share their columns, other pairs share none
+    assert len(got) == d ** 3
+    for x, a in enumerate(mats):
+        for y, b in enumerate(mats):
+            want = trace_pair(a, b)
+            value = got.get((x, y), 0j)
+            assert value == want and repr(value) == repr(want)
+
+
+def test_trace_gram_sums_a_multiset_no_shortcut_decides():
+    # diag(1, 1, 1) against diag(1, 1, q): the sum 2 + q neither cancels nor
+    # is a multiple of one phase, so it is the float sum of _complex_sum
+    a = PhaseMatrix.identity(3)
+    b = PhaseMatrix.monomial(range(3), [0, 0, 1])
+    got = gram_dict([a, b])
+    assert got[0, 1] == _complex_sum([0, 0, 1], 3) == trace_pair(a, b)
+    assert got[0, 1].imag != 0.0
+
+
+def test_batched_kernels_take_monomial_families_only():
+    full = fra_matrix(3)
+    with pytest.raises(ValueError, match="monomial"):
+        list(trace_gram([u_ab(3, (1, 1)), full]))
+    with pytest.raises(ValueError, match="monomial"):
+        pairwise_products([full])
+    with pytest.raises(ValueError, match="dimension"):
+        list(trace_gram([u_ab(3, (1, 1)), u_ab(4, (1, 1))]))
+    assert list(trace_gram([])) == []

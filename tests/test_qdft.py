@@ -8,6 +8,7 @@ from mubkit.phases import PhaseMatrix, q_power
 from mubkit.qdft import (QdftParams, fra_matrix, hra_matrix, dra_matrix,
                          forward, inverse, parseval_check, gauss_sum,
                          trace_fra, det_fra, is_generalized_hadamard)
+from mubkit.verify import _row_symmetry_holds
 
 # F_02 at d=6 as exponents of q = exp(i pi/3); row n, column m carries
 # exponent n(6-n)*2/2 + n*m reduced mod 6
@@ -240,6 +241,32 @@ def test_row_symmetry_relations_exact(d):
                 for n in range(1, d):
                     want = f.entry(n, al) * q_power(d, lead - al + n * a)
                     assert f.entry(n - 1, al) == want
+
+
+def entrywise_row_symmetry(f, d, r, a):
+    """The row symmetry compared entry by entry as ExactPhase products."""
+    lead = Fraction(d - 1, 2) * (Fraction(r) + a)
+    corner = q_power(d, Fraction(-d * (d - 1), 2) * Fraction(r))
+    return all(f.entry(d - 1, al) == f.entry(0, al) * q_power(d, lead - al) * corner
+               and all(f.entry(n - 1, al) == f.entry(n, al) * q_power(d, lead - al + n * a)
+                       for n in range(1, d))
+               for al in range(d))
+
+
+@pytest.mark.parametrize("d, r, a, n, al", [
+    (2, 0, 1, 0, 1), (5, 1, 3, 4, 0), (6, 0, 2, 3, 5), (9, Fraction(2, 5), 4, 8, 8),
+    (13, 1, 12, 0, 7), (13, 0, 0, 6, 6)])
+def test_row_symmetry_both_forms_flag_a_corrupted_entry(d, r, a, n, al):
+    f = fra_matrix(d, r, a)
+    assert entrywise_row_symmetry(f, d, r, a) and _row_symmetry_holds(f, d, r, a)
+    # over d * N turns from_exponents rebuilds f, and +1 moves one entry
+    # by the smallest step that modulus can express
+    exps = f.exponents.astype(object) * d
+    assert PhaseMatrix.from_exponents(d, exps, f.scaled, f.modulus) == f
+    exps[n, al] += 1
+    bad = PhaseMatrix.from_exponents(d, exps, f.scaled, f.modulus)
+    assert not entrywise_row_symmetry(bad, d, r, a)
+    assert not _row_symmetry_holds(bad, d, r, a)
 
 
 @pytest.mark.parametrize("d", range(2, 13))

@@ -10,6 +10,8 @@ from mubkit.quon import (q_number, q_factorial, quon_rep, tensor_index,
                          restrict_to_j, su2_generators, eigenbasis,
                          eigenvalue_vra, overlap_same_a,
                          rotation_conjugation_residual)
+from mubkit import quon
+from mubkit.phases import is_rational, q_power
 from mubkit.weyl import vra_matrix
 from mubkit.qdft import hra_matrix
 
@@ -330,3 +332,29 @@ def test_angular_state_rejects_bad_projection():
         AngularState(1, Fraction(1, 2))
     with pytest.raises(ValueError):
         AngularState(1, 2)
+
+
+def q_through_exact_phase(d, e):
+    """_q as it was, through an ExactPhase for rational e."""
+    if is_rational(e):
+        return q_power(d, e).to_complex()
+    return cmath.exp(2j * pi * e / d)
+
+
+@pytest.mark.parametrize("r", [0, Fraction(1, 3), Fraction(2, 5), Fraction(3, 2)])
+def test_integer_phases_are_bit_identical_to_exact_phase_route(r, monkeypatch):
+    def both_routes(f, *args):
+        new = f(*args)
+        with monkeypatch.context() as m:
+            m.setattr(quon, "_q", q_through_exact_phase)
+            old = f(*args)
+        return np.asarray(new), np.asarray(old)
+
+    for d in range(2, 10):
+        j = j_of(d)
+        for a in (0, 1, d - 1):
+            new, old = both_routes(eigenbasis, j, r, a)
+            assert new.tobytes() == old.tobytes()
+            for alpha in range(d):
+                new, old = both_routes(eigenvalue_vra, j, r, a, alpha)
+                assert new.tobytes() == old.tobytes()
