@@ -1,7 +1,8 @@
 """Exact-arithmetic toolkit for quadratic Fourier matrices, Weyl/Pauli
 operator families and mutually unbiased bases.
 
-The package keeps roots of unity as reduced rational turns, so the
+The package keeps the phases of a matrix as integer exponents over one
+common modulus (a single root of unity as a reduced rational turn), so the
 structural identities of the clock/shift family (q-commutation, trace
 orthogonality, the Pauli group law, the Fourier factorization) are
 verified with no tolerance at all; dense complex arrays are used only
@@ -9,13 +10,13 @@ where irrational amplitudes force them.
 """
 
 from .phases import ExactPhase, PhaseMatrix, q_power
-from .qdft import (QdftParams, GaussSumArgs, HadamardReport, fra_matrix,
-                   hra_matrix, dra_matrix, forward, inverse, parseval_check,
-                   gauss_sum, trace_fra, det_fra, is_generalized_hadamard)
-from .weyl import (PauliIndex, PauliGroupElement, SineIndex, x_matrix,
-                   z_matrix, pr_matrix, vra_matrix, vra_band_matrix,
-                   vra_power_phase, expected_vra_eigenvalues, diagonalize_vra,
-                   u_ab, weyl_relation_check, pauli_trace_orthogonality,
+from .qdft import (QdftParams, HadamardReport, fra_matrix, hra_matrix,
+                   dra_matrix, forward, inverse, parseval_check, gauss_sum,
+                   trace_fra, det_fra, is_generalized_hadamard)
+from .weyl import (PauliGroupElement, x_matrix, z_matrix, pr_matrix,
+                   vra_matrix, vra_band_matrix, vra_power_phase,
+                   expected_vra_eigenvalues, diagonalize_vra, u_ab,
+                   weyl_relation_check, pauli_trace_orthogonality,
                    uab_commutators, pauli_compose, pauli_element_matrix,
                    t_matrix, sine_product_check, sine_commutator_check,
                    regular_representation_check)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .phases import PhaseMatrix, pairwise_products
 from .qdft import fra_matrix, gauss_sum, hra_matrix, is_generalized_hadamard
-from .weyl import pauli_trace_orthogonality, u_ab
+from .weyl import _gram_residual, u_ab
 
 Real = Union[int, Fraction, float]
 
@@ -266,7 +266,12 @@ def commuting_classes(p: int) -> list[CommutingClass]:
 
 def class_commutes_exactly(p: int, cls: CommutingClass) -> bool:
     """A @ B == B @ A exactly for every pair of the class, all products at once."""
-    _, cols, exps = pairwise_products([u_ab(p, idx) for idx in cls.members])
+    return _commute_pairwise([u_ab(p, idx) for idx in cls.members])
+
+
+def _commute_pairwise(mats: list[PhaseMatrix]) -> bool:
+    """a @ b == b @ a for every pair of a monomial family, from one batch."""
+    _, cols, exps = pairwise_products(mats)
     return bool(np.array_equal(cols, cols.swapaxes(0, 1))
                 and np.array_equal(exps, exps.swapaxes(0, 1)))
 
@@ -307,9 +312,12 @@ def sl_partition_check(p: int) -> PartitionReport:
             total += 1
     union_complete = (total == p * p - 1
                       and seen == {(a, b) for a in range(p) for b in range(p)} - {(0, 0)})
-    all_abelian = all(class_commutes_exactly(p, cls) for cls in classes)
+    # each u_ab is built once and serves both the class test and the Gram
+    paulis = {(a, b): u_ab(p, (a, b)) for a in range(p) for b in range(p)}
+    all_abelian = all(_commute_pairwise([paulis[idx] for idx in cls.members])
+                      for cls in classes)
     return PartitionReport(p, disjoint, union_complete, all_abelian,
-                           pauli_trace_orthogonality(p))
+                           _gram_residual(p, list(paulis.values())))
 
 
 def phase_insensitive_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:

@@ -7,10 +7,12 @@ phase quadratic in the row index,
 
 with q = exp(2*pi*i/d), a an integer mod d and r a real parameter.  For
 rational r every entry is an exact root of unity and the matrix is built
-in phase arithmetic; irrational r falls back to dense complex arrays.
-The companion matrix H_ra carries the same columns with the rows in
-reverse order, and D_ra is the diagonal Gaussian factor with
-F_ra = D_ra F.
+in phase arithmetic.  A float r goes through the same exponent formula,
+evaluated as floats over the same modulus into a dense complex array;
+its entries are within 1e-11 of the exact ones for d <= 1000 (the bound
+of ``mubkit matrix --d``) and |r| <= 2.  The companion matrix H_ra
+carries the same columns with the rows in reverse order, and D_ra is
+the diagonal Gaussian factor with F_ra = D_ra F.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ import cmath
 
 import numpy as np
 
-from .phases import PhaseMatrix, as_fraction, exponent_dtype, is_rational
+from .phases import PhaseMatrix, exponent_dtype, is_rational
 
 Real = Union[int, Fraction, float]
 
 __all__ = [
     "QdftParams",
-    "GaussSumArgs",
     "HadamardReport",
     "fra_matrix",
     "hra_matrix",
@@ -65,47 +66,30 @@ class QdftParams:
         return is_rational(self.r)
 
 
-@dataclass(frozen=True)
-class GaussSumArgs:
-    """Arguments of the generalized quadratic Gauss sum S(u, v, w)."""
-
-    u: int
-    v: Real
-    w: int
-
-    def __post_init__(self):
-        if self.w == 0:
-            raise ValueError("w must be nonzero")
-
-
 def _exponents(p: QdftParams) -> tuple[np.ndarray, int]:
     """(den * F_ra exponents, den) as a d x d array, E(n, m) = row(n) + nm with
     row(n) = n(d-n)a/2 + (d-1)^2 r/4 - n(d-1)r/2.
 
-    For rational r, den = 4 den(r) and the array holds integers reduced
-    mod den * d.  For a float r, den = 1 and the array holds floats,
-    evaluated in the order the exact terms are written.
+    r enters as rn/rd: its numerator and denominator for rational r, or
+    (float(r), 1) for a float r.  den = 4 rd, row(n) is reduced mod
+    den * d and nm mod d; the array holds integers for rational r and
+    floats otherwise.
     """
     d = p.d
+    rn, rd = (p.r.numerator, p.r.denominator) if p.exact else (float(p.r), 1)
+    den = 4 * rd
+    n = den * d
+    row = [(2 * i * (d - i) * p.a * rd + (d - 1) ** 2 * rn - 2 * i * (d - 1) * rn) % n
+           for i in range(d)]
+    dt = exponent_dtype(n) if p.exact else float
     k = np.arange(d)
-    if p.exact:
-        r = as_fraction(p.r)
-        rn, rd = r.numerator, r.denominator
-        den = 4 * rd
-        n = den * d
-        row = [(2 * i * (d - i) * p.a * rd + (d - 1) ** 2 * rn - 2 * i * (d - 1) * rn) % n
-               for i in range(d)]
-        dt = exponent_dtype(n)
-        nm = (k[:, None] * k[None, :]) % d
-        return np.array(row, dtype=dt)[:, None] + den * nm.astype(dt), den
-    r = float(p.r)
-    row = (k * (d - k) * p.a / 2 + (d - 1) ** 2 / 4 * r) - k * (d - 1) / 2 * r
-    return row[:, None] + k[:, None] * k[None, :], 1
+    nm = (k[:, None] * k[None, :]) % d
+    return np.array(row, dtype=dt)[:, None] + den * nm.astype(dt), den
 
 
-def _unit_phases(e: np.ndarray, d: int) -> np.ndarray:
-    """exp(2*pi*i*e/d) for a float array e."""
-    angle = 2.0 * pi * e / d
+def _unit_phases(e: np.ndarray, n: int) -> np.ndarray:
+    """exp(2*pi*i*e/n) for a float array e."""
+    angle = 2.0 * pi * e / n
     out = np.empty(e.shape, dtype=complex)
     out.real, out.imag = np.cos(angle), np.sin(angle)
     return out
@@ -116,7 +100,7 @@ def _build(p: QdftParams, e: np.ndarray, den: int) -> Union[PhaseMatrix, np.ndar
     complex array otherwise."""
     if p.exact:
         return PhaseMatrix.from_exponents(p.d, e, scaled=True, den=den)
-    return _unit_phases(e, p.d) / sqrt(p.d)
+    return _unit_phases(e, den * p.d) / sqrt(p.d)
 
 
 def fra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
@@ -139,7 +123,7 @@ def dra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray
     # column 0 of F_ra is row(n), since nm = 0 there
     if p.exact:
         return PhaseMatrix.monomial(range(d), e[:, 0], den)
-    return np.diag(_unit_phases(e[:, 0], d))
+    return np.diag(_unit_phases(e[:, 0], den * d))
 
 
 def forward(x, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
@@ -171,10 +155,10 @@ def parseval_check(x, xp, d: int, r: Real = 0, a: int = 0) -> tuple[complex, com
 
 def gauss_sum(u: int, v: Real, w: int) -> complex:
     """S(u, v, w) = sum_{k=0}^{|w|-1} exp(i*pi*(u k^2 + v k)/w) by direct summation."""
-    args = GaussSumArgs(u, v, w)
-    vf = float(args.v)
-    return sum(cmath.exp(1j * pi * (args.u * k * k + vf * k) / args.w)
-               for k in range(abs(args.w)))
+    if w == 0:
+        raise ValueError("w must be nonzero")
+    vf = float(v)
+    return sum(cmath.exp(1j * pi * (u * k * k + vf * k) / w) for k in range(abs(w)))
 
 
 def trace_fra(d: int, r: Real = 0, a: int = 0) -> complex:

@@ -24,9 +24,7 @@ from .qdft import fra_matrix, hra_matrix
 Rational = Union[int, Fraction]
 
 __all__ = [
-    "PauliIndex",
     "PauliGroupElement",
-    "SineIndex",
     "x_matrix",
     "z_matrix",
     "pr_matrix",
@@ -49,11 +47,6 @@ __all__ = [
 ]
 
 
-class PauliIndex(NamedTuple):
-    a: int
-    b: int
-
-
 class PauliGroupElement(NamedTuple):
     """q^a X^b Z^c with all three exponents reduced mod d."""
 
@@ -62,21 +55,26 @@ class PauliGroupElement(NamedTuple):
     c: int
 
 
-class SineIndex(NamedTuple):
-    """Unreduced integer pair labelling a sine-algebra generator."""
+def _shift_clock(d: int, shift: int, clock: int, phase: int = 0,
+                 den: int = 1) -> PhaseMatrix:
+    """q^(phase/den) X^shift Z^clock as a monomial: row n has its entry in
+    column m = n + shift mod d, with exponent phase + den*clock*m over den.
 
-    n1: int
-    n2: int
+    m may stay unreduced, since den*clock*d is a multiple of the modulus
+    den*d, so labels of any size go in as Python integers.
+    """
+    cols = range(shift, shift + d)
+    return PhaseMatrix.monomial(cols, [phase + den * clock * m for m in cols], den)
 
 
 def x_matrix(d: int) -> PhaseMatrix:
     """Cyclic shift: X|n> = |n-1 mod d>, ones on the superdiagonal and corner."""
-    return PhaseMatrix.monomial([i + 1 for i in range(d)], [0] * d)
+    return _shift_clock(d, 1, 0)
 
 
 def z_matrix(d: int) -> PhaseMatrix:
     """Clock matrix diag(1, q, ..., q^(d-1))."""
-    return PhaseMatrix.monomial(range(d), range(d))
+    return _shift_clock(d, 0, 1)
 
 
 def pr_matrix(d: int, r: Rational) -> PhaseMatrix:
@@ -120,12 +118,10 @@ def diagonalize_vra(d: int, r: Rational = 0, a: int = 0) -> np.ndarray:
     return h.conj().T @ v @ h
 
 
-def u_ab(d: int, idx: PauliIndex | tuple[int, int]) -> PhaseMatrix:
+def u_ab(d: int, idx: tuple[int, int]) -> PhaseMatrix:
     """Generalized Pauli matrix X^a Z^b, exact."""
     a, b = idx
-    # (X^a Z^b)_{n,m} = q^{mb} when m = n + a mod d
-    cols = [(n + a) % d for n in range(d)]
-    return PhaseMatrix.monomial(cols, [m * b for m in cols])
+    return _shift_clock(d, a, b)
 
 
 def vra_q_commutation_checks(d: int, r: Rational, a: int) -> tuple[bool, bool]:
@@ -168,8 +164,13 @@ def pauli_trace_orthogonality(d: int) -> float:
     Traces are taken on the exact product diagonals, so the return value
     is 0.0 whenever every pairing cancels or matches exactly.
     """
+    return _gram_residual(d, [u_ab(d, (a, b)) for a in range(d) for b in range(d)])
+
+
+def _gram_residual(d: int, paulis: list[PhaseMatrix]) -> float:
+    """Max deviation of the trace Gram of the d^2 matrices u_ab from d * I."""
     worst = 0.0
-    for i, j, tr in trace_gram([u_ab(d, (a, b)) for a in range(d) for b in range(d)]):
+    for i, j, tr in trace_gram(paulis):
         worst = max(worst, float(np.max(np.abs(tr - d * (i == j)))))
     return worst
 
@@ -210,14 +211,16 @@ def pauli_compose(d: int, g: PauliGroupElement | tuple[int, int, int],
 def pauli_element_matrix(d: int, g: PauliGroupElement | tuple[int, int, int]) -> PhaseMatrix:
     """Matrix q^a X^b Z^c of a Pauli group element."""
     a, b, c = g
-    return u_ab(d, (b, c)).scaled_by(q_power(d, a))
+    return _shift_clock(d, b, c, a)
 
 
-def t_matrix(d: int, s: SineIndex | tuple[int, int]) -> PhaseMatrix:
-    """Sine-algebra generator T_(n1,n2) = q^{n1 n2/2} Z^{n1} X^{n2}."""
+def t_matrix(d: int, s: tuple[int, int]) -> PhaseMatrix:
+    """Sine-algebra generator T_(n1,n2) = q^{n1 n2/2} Z^{n1} X^{n2}.
+
+    Z^{n1} X^{n2} = q^{-n1 n2} X^{n2} Z^{n1}, so T is q^{-n1 n2/2} X^{n2} Z^{n1}.
+    """
     n1, n2 = s
-    m = (z_matrix(d) ** (n1 % d)) @ (x_matrix(d) ** (n2 % d))
-    return m.scaled_by(q_power(d, Fraction(n1 * n2, 2)))
+    return _shift_clock(d, n2, n1, -n1 * n2, 2)
 
 
 def sine_product_check(d: int, m: tuple[int, int], n: tuple[int, int]) -> bool:

@@ -356,3 +356,35 @@ def test_phase_payload_neither_monomial_nor_full_is_usage_error():
     payload["entries"] = [[[0, 1], [1, 2]], [None, None]]
     with pytest.raises(UsageError, match="monomial .* or full"):
         payload_to_matrix(payload)
+
+
+def matrix_entries(capsys, *argv):
+    code, out, _ = run(capsys, "matrix", *argv, "--format", "json")
+    assert code == 0
+    return parse_document(out)["payload"]["entries"]
+
+
+def turn(value):
+    t = Fraction(value) % 1
+    return [t.numerator, t.denominator]
+
+
+def test_huge_labels_reach_the_builders_as_python_ints(capsys):
+    b = 10 ** 30 + 1
+    assert (matrix_entries(capsys, "uab", "--d", "5", "--a", "1", "--b", str(b))
+            == matrix_entries(capsys, "uab", "--d", "5", "--a", "1", "--b", str(b % 5)))
+    # T_(n1, n2) depends on n1 mod 2d: the phase is q^{n1 n2 / 2}
+    n1 = 10 ** 23 + 3
+    assert (matrix_entries(capsys, "t", "--d", "4", "--n1", str(n1), "--n2", "5")
+            == matrix_entries(capsys, "t", "--d", "4", "--n1", str(n1 % 8), "--n2", "5"))
+    # modulus 2 d (10^23 + 7) > 2^63
+    d, r = 4, Fraction(1, 10 ** 23 + 7)
+    expected = [[turn(0) if j == i else None for j in range(d)] for i in range(d)]
+    expected[d - 1][d - 1] = turn((d - 1) * r / 2)
+    assert matrix_entries(capsys, "pr", "--d", str(d), "--r", str(r)) == expected
+    d, r, a = 3, Fraction(10 ** 25 + 1, 3), 2
+    expected = [[None] * d for _ in range(d)]
+    for n in range(1, d):
+        expected[n - 1][n] = turn(Fraction(n * a, d))
+    expected[d - 1][0] = turn((d - 1) * r / 2)
+    assert matrix_entries(capsys, "vra", "--d", str(d), "--r", str(r), "--a", str(a)) == expected

@@ -21,6 +21,21 @@ def test_x_z_d2_are_sigma_layout():
     assert z_matrix(2).to_complex().tolist() == [[1, 0], [0, -1]]
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_closed_forms_equal_their_definitions(d):
+    x, z = x_matrix(d), z_matrix(d)
+    assert x == PhaseMatrix.monomial([(n + 1) % d for n in range(d)], [0] * d)
+    assert z == PhaseMatrix.monomial(range(d), range(d))
+    labels = range(-d, 2 * d)
+    for n1, n2 in itertools.product(labels, repeat=2):
+        assert u_ab(d, (n1, n2)) == x ** (n1 % d) @ z ** (n2 % d)
+        assert t_matrix(d, (n1, n2)) == (z ** (n1 % d) @ x ** (n2 % d)).scaled_by(
+            q_power(d, Fraction(n1 * n2, 2)))
+    for a, b, c in itertools.product(labels, repeat=3):
+        assert pauli_element_matrix(d, (a, b, c)) == (x ** (b % d) @ z ** (c % d)).scaled_by(
+            q_power(d, a))
+
+
 def test_p0_is_identity():
     for d in (2, 3, 7):
         assert pr_matrix(d, 0) == PhaseMatrix.identity(d)
