@@ -27,7 +27,7 @@ import numpy as np
 
 from . import mub, qdft, weyl, wigner
 from .phases import PhaseMatrix
-from .verify import SUITES, run_suite, suite_passed
+from .verify import SUITES, CheckResult, _basis_set_checks, run_suite
 
 SCHEMA_VERSION = "1"
 FORMATS = ("json", "csv", "pretty")
@@ -88,9 +88,20 @@ def parse_rational(text: str) -> Union[int, Fraction, float]:
     return value
 
 
+def _parse_r(text: str) -> Union[int, Fraction, float]:
+    """The --r of matrix, mub and transform.  A decimal takes the
+    floating-point path of qdft, which holds its 1e-11 tolerance for
+    |r| <= 2; beyond, the gap to the exact matrix of the same float
+    reaches 9e-10 at d = 1000, r = 123456.789."""
+    r = parse_rational(text)
+    if isinstance(r, float) and abs(r) > 2:
+        raise UsageError(f"decimal --r {text} is outside [-2, 2], where the "
+                         f"floating-point path holds its 1e-11 tolerance; give "
+                         f"it as an exact n/m, e.g. --r {Fraction(repr(r))}")
+    return r
+
+
 def _rational_tag(r: Union[int, Fraction, float]) -> Union[str, float]:
-    if isinstance(r, bool):
-        raise UsageError("boolean is not a parameter value")
     if isinstance(r, (int, Fraction)):
         return str(Fraction(r))
     return float(r)
@@ -172,6 +183,13 @@ def payload_to_matrix(payload: dict) -> Union[PhaseMatrix, np.ndarray]:
         return np.array([[complex(re, im) for re, im in row]
                          for row in payload["entries"]])
     raise UsageError(f"payload type {payload['type']!r} is not a matrix")
+
+
+def _report_payload(results: list[CheckResult]) -> dict:
+    checks = [{"name": c.name, "residual": c.residual, "tolerance": c.tolerance,
+               "passed": c.passed} for c in results]
+    return {"type": "verification_report", "checks": checks,
+            "passed": all(c.passed for c in results)}
 
 
 def document(command: str, params: dict, payload: dict) -> dict:
@@ -293,7 +311,7 @@ def cmd_matrix(args) -> tuple[dict, int]:
     if d is None or d < 2:
         raise UsageError("matrix requires --d of at least 2")
     _check_entries(d * d, f"matrix --d {d}")
-    r = parse_rational(args.r)
+    r = _parse_r(args.r)
     need_rational = kind in ("vra", "pr", "t", "uab", "x", "z")
     if need_rational and isinstance(r, float):
         raise UsageError(f"kind {kind!r} is exact-only; give a rational --r")
@@ -330,7 +348,7 @@ def cmd_matrix(args) -> tuple[dict, int]:
 
 
 def cmd_mub(args) -> tuple[dict, int]:
-    r = parse_rational(args.r)
+    r = _parse_r(args.r)
     exit_code = 0
     if args.dim4:
         ms = mub.mub_dim4()
@@ -358,36 +376,21 @@ def cmd_mub(args) -> tuple[dict, int]:
                "bases": [{"label": b.label, "matrix": matrix_payload(b.matrix)}
                          for b in ms.bases]}
     if args.verify:
-        checks = []
-        for i, b1 in enumerate(ms.bases):
-            for b2 in ms.bases[i + 1:]:
-                dev = mub.unbiasedness(b1, b2)
-                checks.append({"name": f"unbiased[{b1.label}|{b2.label}]",
-                               "residual": dev, "tolerance": 1e-10,
-                               "passed": dev < 1e-10})
-        for b in ms.bases:
-            dev = mub.orthonormality(b)
-            checks.append({"name": f"orthonormal[{b.label}]", "residual": dev,
-                           "tolerance": 1e-10, "passed": dev < 1e-10})
-        all_ok = all(c["passed"] for c in checks)
-        payload["verification"] = {"type": "verification_report",
-                                   "checks": checks, "passed": all_ok}
-        if not all_ok:
-            exit_code = 1
+        payload["verification"] = _report_payload(_basis_set_checks(ms))
+        exit_code = 0 if payload["verification"]["passed"] else 1
     return document("mub", params, payload), exit_code
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.d_max < 2:
+        raise UsageError(f"--d-max {args.d_max} is below 2, the smallest dimension "
+                         f"the suites check; a check with no case would pass empty")
     if args.d_max > MAX_VERIFY_D:
         raise UsageError(f"--d-max {args.d_max} exceeds {MAX_VERIFY_D}: the qdft "
                          f"suite's run time grows as d_max^4")
-    results = run_suite(args.suite, d_max=args.d_max, seed=args.seed)
-    checks = [{"name": r.name, "residual": r.residual,
-               "tolerance": r.tolerance, "passed": r.passed} for r in results]
-    ok = suite_passed(results)
-    payload = {"type": "verification_report", "checks": checks, "passed": ok}
+    payload = _report_payload(run_suite(args.suite, d_max=args.d_max, seed=args.seed))
     params = {"suite": args.suite, "d_max": args.d_max, "seed": args.seed}
-    return document("verify", params, payload), 0 if ok else 1
+    return document("verify", params, payload), 0 if payload["passed"] else 1
 
 
 def cmd_gauss(args) -> tuple[dict, int]:
@@ -431,7 +434,7 @@ def cmd_transform(args) -> tuple[dict, int]:
     if args.d > MAX_TRANSFORM_D:
         raise UsageError(f"--d {args.d} exceeds {MAX_TRANSFORM_D}: the transform "
                          f"builds the d x d matrix, so memory grows as d^2")
-    r = parse_rational(args.r)
+    r = _parse_r(args.r)
     x = _read_vector(args.infile)
     if x.shape != (args.d,):
         raise UsageError(f"signal has length {x.shape[0]}, expected {args.d}")
@@ -551,10 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         doc, code = args.handler(args)
         output = render_document(doc, args.format)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(output)

@@ -328,6 +328,8 @@ def test_verify_dimension_bound(capsys):
     code, out, err = run(capsys, "verify", "qdft", "--d-max", "33")
     assert code == 2 and out == ""
     assert "--d-max 33 exceeds 32" in err and "d_max^4" in err
+    code, out, err = run(capsys, "verify", "weyl", "--d-max", "1")
+    assert code == 2 and out == "" and "--d-max 1 is below 2" in err
     # the benchmark and acceptance criterion 12 sweep up to 13
     assert run(capsys, "verify", "mub", "--d-max", "13", "--format", "json")[0] == 0
 
@@ -388,3 +390,66 @@ def test_huge_labels_reach_the_builders_as_python_ints(capsys):
         expected[n - 1][n] = turn(Fraction(n * a, d))
     expected[d - 1][0] = turn((d - 1) * r / 2)
     assert matrix_entries(capsys, "vra", "--d", str(d), "--r", str(r), "--a", str(a)) == expected
+
+
+def test_verify_failing_exact_check_exits_1(capsys, monkeypatch):
+    from mubkit import weyl
+    monkeypatch.setattr(weyl, "z_matrix", weyl.x_matrix)
+    code, out, _ = run(capsys, "verify", "weyl", "--d-max", "3", "--format", "pretty")
+    assert code == 1
+    assert "FAIL  weyl.shift_clock_commutation" in out
+    assert "residual inf" in out
+    assert out.rstrip().endswith("overall: FAIL")
+
+
+def test_verify_failing_float_check_exits_1(capsys, monkeypatch):
+    from mubkit import qdft
+    real = qdft.trace_fra
+    monkeypatch.setattr(qdft, "trace_fra", lambda d, r=0, a=0: real(d, r, a) + 1e-6)
+    code, out, _ = run(capsys, "verify", "qdft", "--d-max", "3", "--format", "pretty")
+    assert code == 1
+    assert "FAIL  qdft.trace_two_route" in out
+    assert "PASS  qdft.unitarity" in out
+    assert out.rstrip().endswith("overall: FAIL")
+    code, out, _ = run(capsys, "verify", "qdft", "--d-max", "3", "--format", "json")
+    payload = parse_document(out)["payload"]
+    assert code == 1 and payload["passed"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["qdft.trace_two_route"]
+    assert abs(failed[0]["residual"] - 1e-6) < 1e-9
+
+
+def test_mub_verify_with_a_corrupted_basis_exits_1(capsys, monkeypatch):
+    from mubkit import mub
+    real = mub.mub_prime
+
+    def corrupted(p, r=0):
+        ms = real(p, r)
+        first = ms.bases[0]
+        bad = mub.Basis(p, np.asarray(first.matrix, dtype=complex) + 1e-6, first.label)
+        return mub.MubSet(p, [bad] + ms.bases[1:], declared_complete=True)
+
+    monkeypatch.setattr(mub, "mub_prime", corrupted)
+    code, out, _ = run(capsys, "mub", "--p", "5", "--verify", "--format", "pretty")
+    assert code == 1
+    assert "FAIL  orthonormal[r=0,a=0]" in out
+    assert "FAIL  unbiased[r=0,a=0|r=0,a=1]" in out
+    assert "PASS  unbiased[r=0,a=1|r=0,a=2]" in out
+    assert out.rstrip().endswith("overall: FAIL")
+
+
+@pytest.mark.parametrize("argv", [
+    ("matrix", "fra", "--d", "5"),
+    ("mub", "--p", "5"),
+    ("transform", "--d", "2", "--in", "{signal}"),
+])
+@pytest.mark.parametrize("value, exact", [("2.5", "5/2"), ("-3.1", "-31/10")])
+def test_decimal_r_beyond_two_is_usage_error(tmp_path, capsys, argv, value, exact):
+    signal = tmp_path / "x.csv"
+    signal.write_text("1,0\n0,0\n")
+    argv = [a.format(signal=signal) for a in argv]
+    code, out, err = run(capsys, *argv, "--r", value, "--format", "json")
+    assert code == 2 and out == ""
+    assert "outside [-2, 2]" in err and f"--r {exact}" in err
+    assert run(capsys, *argv, "--r", exact, "--format", "json")[0] == 0
+    assert run(capsys, *argv, "--r", "-1.999", "--format", "json")[0] == 0

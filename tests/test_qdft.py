@@ -310,11 +310,12 @@ def entries(m):
 
 
 @pytest.mark.parametrize("d", [*range(2, 10), 43, 97, 1000])
-@pytest.mark.parametrize("r", EVALUATOR_RS)
+@pytest.mark.parametrize("r", EVALUATOR_RS + [Fraction(1999, 1000), Fraction(-1999, 1000)])
 def test_float_evaluator_matches_exact(d, r):
-    """The float path's stated tolerance, 1e-11 for d <= 1000 (the qdft
-    docstring); d = 1000, the bound of ``matrix --d``, checks F_ra at
-    a = 0 and d - 1, and d < 10 keeps its tighter 1e-12."""
+    """The float path's stated tolerance, 1e-11 for d <= 1000 and |r| <= 2
+    (the qdft docstring); d = 1000, the bound of ``matrix --d``, checks
+    F_ra at a = 0 and d - 1, d < 10 keeps its tighter 1e-12, and r = +-1.999
+    sits at both ends of the range the CLI admits for a decimal --r."""
     if d == 1000:
         cases = [(fra_matrix, 0), (fra_matrix, d - 1)]
     else:
