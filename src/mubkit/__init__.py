@@ -31,7 +31,7 @@ from .mub import (Basis, MubSet, CommutingClass, PartitionReport, is_prime,
                   product_hadamard, mub_dim4, entanglement_det,
                   commuting_classes, sl_partition_check,
                   phase_insensitive_equal)
-from .wigner import (wigner_3jm, clebsch_gordan, cg_alpha, fbar,
-                     basis_change_coeff, fbar_conjugation_factor)
+from .wigner import (wigner_3jm, clebsch_gordan, cg_alpha, cg_alpha_table, fbar,
+                     fbar_table, basis_change_coeff, fbar_conjugation_factor)
 
 __version__ = "0.1.0"

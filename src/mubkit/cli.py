@@ -46,9 +46,11 @@ MAX_GAUSS_TERMS = 10 ** 7
 # wigner_3j at j1 = j2 = j3 = j their error grows from about 3e-13 at
 # j = 20 to 7e-11 at j = 30 and 2e-9 at j = 40.
 MAX_FBAR_TWO_J = 40
-# Only the `qdft` suite of `verify` has no dimension cap of its own; its
-# time grows as d_max^4.  `verify qdft --d-max` took 0.6 s at 13, 6.5 s
-# at 24 and 17 s at 32 (2-core x86 host, Python 3.11).
+# Only the `qdft` suite of `verify` has no dimension cap of its own (the
+# others stop at 16 or below), so a larger --d-max only grows qdft: its
+# d_max^2 (d, r, a) cases each build d x d matrices, about d_max^3 in all.
+# `verify qdft --d-max` took 0.13 s at 13, 0.8 s at 32, 2.4 s at 48 and
+# 5.3 s at 64 (2-core x86 host, Python 3.11).
 MAX_VERIFY_D = 32
 # `transform` builds the d x d matrix F_ra: peak RSS 90 MB at d = 1000,
 # 274 MB at 2000, 900 MB at 4000 (about 56 bytes per entry), same host.
@@ -137,12 +139,15 @@ def phase_matrix_payload(m: PhaseMatrix) -> dict:
             "entries": entries}
 
 
+def _re_im_pairs(arr: np.ndarray) -> list:
+    """Each complex entry as a [re, im] pair of Python floats."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(float).reshape(*arr.shape, 2).tolist()
+
+
 def complex_matrix_payload(arr: np.ndarray) -> dict:
-    return {
-        "type": "complex_matrix",
-        "dim": int(arr.shape[0]),
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in arr],
-    }
+    return {"type": "complex_matrix", "dim": int(arr.shape[0]),
+            "entries": _re_im_pairs(arr)}
 
 
 def matrix_payload(m) -> dict:
@@ -152,8 +157,7 @@ def matrix_payload(m) -> dict:
 
 
 def complex_vector_payload(vec: np.ndarray) -> dict:
-    return {"type": "complex_vector",
-            "entries": [[float(v.real), float(v.imag)] for v in vec]}
+    return {"type": "complex_vector", "entries": _re_im_pairs(vec)}
 
 
 def scalar_payload(value: complex) -> dict:
@@ -186,8 +190,11 @@ def payload_to_matrix(payload: dict) -> Union[PhaseMatrix, np.ndarray]:
 
 
 def _report_payload(results: list[CheckResult]) -> dict:
-    checks = [{"name": c.name, "residual": c.residual, "tolerance": c.tolerance,
-               "passed": c.passed} for c in results]
+    """JSON has no inf: a non-finite residual, which fails its check, is
+    None (null); pretty and csv render it as inf."""
+    checks = [{"name": c.name,
+               "residual": c.residual if math.isfinite(c.residual) else None,
+               "tolerance": c.tolerance, "passed": c.passed} for c in results]
     return {"type": "verification_report", "checks": checks,
             "passed": all(c.passed for c in results)}
 
@@ -215,6 +222,10 @@ def _pretty_phase(pair: Optional[list], dim: int) -> str:
 
 def _pretty_complex(v: complex) -> str:
     return f"{v.real:+.6g}{v.imag:+.6g}i"
+
+
+def _residual(check: dict) -> float:
+    return float("inf") if check["residual"] is None else check["residual"]
 
 
 def _pretty_payload(payload: dict) -> str:
@@ -249,8 +260,8 @@ def _pretty_payload(payload: dict) -> str:
         lines = []
         for check in payload["checks"]:
             flag = "PASS" if check["passed"] else "FAIL"
-            lines.append(f"{flag}  {check['name']:<45s} residual {check['residual']:.3e}"
-                         f"  tolerance {check['tolerance']:g}")
+            lines.append(f"{flag}  {check['name']:<45s} "
+                         f"residual {_residual(check):.3e}  tolerance {check['tolerance']:g}")
         lines.append("overall: " + ("PASS" if payload["passed"] else "FAIL"))
         return "\n".join(lines)
     if kind == "fbar_value":
@@ -281,7 +292,7 @@ def _csv_payload(payload: dict) -> str:
         return f"re,im\n{re!r},{im!r}"
     if kind == "verification_report":
         lines = ["name,residual,tolerance,passed"]
-        lines += [f"{c['name']},{c['residual']!r},{c['tolerance']!r},{c['passed']}"
+        lines += [f"{c['name']},{_residual(c)!r},{c['tolerance']!r},{c['passed']}"
                   for c in payload["checks"]]
         return "\n".join(lines)
     raise UsageError(f"payload type {payload['type']!r} has no csv rendering; "
@@ -386,8 +397,8 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise UsageError(f"--d-max {args.d_max} is below 2, the smallest dimension "
                          f"the suites check; a check with no case would pass empty")
     if args.d_max > MAX_VERIFY_D:
-        raise UsageError(f"--d-max {args.d_max} exceeds {MAX_VERIFY_D}: the qdft "
-                         f"suite's run time grows as d_max^4")
+        raise UsageError(f"--d-max {args.d_max} exceeds {MAX_VERIFY_D}: beyond it only "
+                         f"the qdft suite grows, and its run time grows as d_max^3")
     payload = _report_payload(run_suite(args.suite, d_max=args.d_max, seed=args.seed))
     params = {"suite": args.suite, "d_max": args.d_max, "seed": args.seed}
     return document("verify", params, payload), 0 if payload["passed"] else 1

@@ -5,9 +5,9 @@ tolerance: a ``_Sweep`` method that yields one value per case it tests.
 A suite (the prefix of the names) runs its invariants in declaration
 order up to a dimension bound, one ``CheckResult`` each.  Tolerance 0.0
 marks an exact check, whose cases are bools: its residual is 0.0 when
-all hold, else inf.  Any other check reports its worst residual.  A
-check passes at residual <= tolerance.  Sweeps are deterministic given
-the seed.
+all hold, else inf.  Any other check reports its worst residual, inf if
+any case is nan.  A check passes at residual <= tolerance.  Sweeps are
+deterministic given the seed.
 
 To add an invariant, write a ``_Sweep`` method in its suite's section
 that yields its cases from ``self.d_max`` and, if it samples,
@@ -108,13 +108,20 @@ def _dra_cases(dims, rs):
     return ((d, r, a) for d in dims for r in rs for a in range(d))
 
 
-def _coupling_cases():
-    """(2j1, 2j2, 2j3, a1, a2, a3): doubled spins up to 4 that satisfy the
-    triangle rule, with every cyclic label a_i = 0..2j_i."""
-    for tj1, tj2 in itertools.product(range(5), repeat=2):
-        for tj3 in range(abs(tj1 - tj2), min(tj1 + tj2, 4) + 1, 2):
-            for a in itertools.product(range(tj1 + 1), range(tj2 + 1), range(tj3 + 1)):
-                yield (tj1, tj2, tj3, *a)
+_COUPLING_TWO_J = 4
+
+
+def _coupling_triples() -> list[tuple[int, int, int]]:
+    """(2j1, 2j2, 2j3): doubled spins up to 4 that satisfy the triangle
+    rule.  Every permutation of a triple is also one."""
+    return [(tj1, tj2, tj3)
+            for tj1, tj2 in itertools.product(range(_COUPLING_TWO_J + 1), repeat=2)
+            for tj3 in range(abs(tj1 - tj2), min(tj1 + tj2, _COUPLING_TWO_J) + 1, 2)]
+
+
+def _alpha_labels(two_js) -> Iterator[tuple[int, ...]]:
+    """Every cyclic label (a1, a2, a3), a_i = 0..2j_i."""
+    return itertools.product(*(range(tj + 1) for tj in two_js))
 
 
 @dataclass
@@ -136,7 +143,9 @@ class _Sweep:
         values = list(inv.cases(self))
         if inv.tolerance == 0.0:
             return CheckResult(inv.name, 0.0 if all(values) else float("inf"), 0.0)
-        return CheckResult(inv.name, max([0.0, *values]), inv.tolerance)
+        # max passes over nan, which compares false with everything
+        worst = float("inf") if np.isnan(values).any() else max([0.0, *values])
+        return CheckResult(inv.name, worst, inv.tolerance)
 
     def upto(self, cap: int) -> range:
         return range(2, min(self.d_max, cap) + 1)
@@ -460,15 +469,19 @@ class _Sweep:
 
     @_invariant("wigner.fbar_symmetries", 1e-10)
     def _fbar_symmetries(self):
-        for tj1, tj2, tj3, a1, a2, a3 in _coupling_cases():
+        # each triple's table is built on its own, so the permuted reads
+        # below compare independent evaluations, not one table with itself
+        tables = {t: wigner.fbar_table(*t) for t in _coupling_triples()}
+        for tj1, tj2, tj3 in _coupling_triples():
             sign = (-1) ** ((tj1 + tj2 + tj3) // 2)
-            base = wigner.fbar(tj1, tj2, tj3, a1, a2, a3)
-            even = wigner.fbar(tj2, tj3, tj1, a2, a3, a1)
-            odd = wigner.fbar(tj2, tj1, tj3, a2, a1, a3)
-            factor = wigner.fbar_conjugation_factor(tj1, tj2, tj3, a1, a2, a3)
-            yield abs(base - even)
-            yield abs(odd - sign * base)
-            yield abs(np.conj(base) - factor * base)
+            for a1, a2, a3 in _alpha_labels((tj1, tj2, tj3)):
+                base = tables[tj1, tj2, tj3][a1, a2, a3]
+                even = tables[tj2, tj3, tj1][a2, a3, a1]
+                odd = tables[tj2, tj1, tj3][a2, a1, a3]
+                factor = wigner.fbar_conjugation_factor(tj1, tj2, tj3, a1, a2, a3)
+                yield abs(base - even)
+                yield abs(odd - sign * base)
+                yield abs(np.conj(base) - factor * base)
 
     @_invariant("wigner.basis_change_unitarity", 1e-12)
     def _basis_change_unitarity(self):
@@ -481,20 +494,25 @@ class _Sweep:
 
     @_invariant("wigner.cg_alpha_two_route", 1e-10)
     def _cg_alpha_two_route(self):
-        for tj1, tj2, tj3, a1, a2, a3 in _coupling_cases():
-            got = wigner.cg_alpha(tj1, tj2, a1, a2, tj3, a3)
-            want = 0j
+        # the second route: magnetic coefficients from clebsch_gordan, moved
+        # to the cyclic basis by the explicit <j, m | j alpha> matrices
+        change = {tj: np.array([[wigner.basis_change_coeff(tj, tm, alpha)
+                                 for alpha in range(tj + 1)]
+                                for tm in range(-tj, tj + 1, 2)])
+                  for tj in range(_COUPLING_TWO_J + 1)}
+        for tj1, tj2, tj3 in _coupling_triples():
+            got = wigner.cg_alpha_table(tj1, tj2, tj3)
+            cg = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
             for tm1 in range(-tj1, tj1 + 1, 2):
                 for tm2 in range(-tj2, tj2 + 1, 2):
                     tm3 = tm1 + tm2
-                    if abs(tm3) > tj3:
-                        continue
-                    cg = wigner.clebsch_gordan(tj1, tm1, tj2, tm2, tj3, tm3)
-                    want += (cg
-                             * np.conj(wigner.basis_change_coeff(tj1, tm1, a1))
-                             * np.conj(wigner.basis_change_coeff(tj2, tm2, a2))
-                             * wigner.basis_change_coeff(tj3, tm3, a3))
-            yield abs(got - want)
+                    if abs(tm3) <= tj3:
+                        cg[(tj1 + tm1) // 2, (tj2 + tm2) // 2, (tj3 + tm3) // 2] = (
+                            wigner.clebsch_gordan(tj1, tm1, tj2, tm2, tj3, tm3))
+            want = np.einsum("ijk,ia,jb,kc->abc", cg, change[tj1].conj(),
+                             change[tj2].conj(), change[tj3])
+            for a in _alpha_labels((tj1, tj2, tj3)):
+                yield abs(got[a] - want[a])
 
 
 def verify_weyl(d_max: int = 8, seed: int = 0) -> list[CheckResult]:

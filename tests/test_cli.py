@@ -327,7 +327,7 @@ def test_verify_dimension_bound(capsys):
     assert cli.MAX_VERIFY_D == 32
     code, out, err = run(capsys, "verify", "qdft", "--d-max", "33")
     assert code == 2 and out == ""
-    assert "--d-max 33 exceeds 32" in err and "d_max^4" in err
+    assert "--d-max 33 exceeds 32" in err and "d_max^3" in err
     code, out, err = run(capsys, "verify", "weyl", "--d-max", "1")
     assert code == 2 and out == "" and "--d-max 1 is below 2" in err
     # the benchmark and acceptance criterion 12 sweep up to 13
@@ -400,6 +400,14 @@ def test_verify_failing_exact_check_exits_1(capsys, monkeypatch):
     assert "FAIL  weyl.shift_clock_commutation" in out
     assert "residual inf" in out
     assert out.rstrip().endswith("overall: FAIL")
+    # JSON has no inf: the failed check's residual is written as null
+    code, out, _ = run(capsys, "verify", "weyl", "--d-max", "3", "--format", "json")
+    payload = parse_document(out)["payload"]
+    assert code == 1 and payload["passed"] is False
+    failed = {c["name"]: c for c in payload["checks"] if not c["passed"]}
+    assert failed["weyl.shift_clock_commutation"]["residual"] is None
+    code, out, _ = run(capsys, "verify", "weyl", "--d-max", "3", "--format", "csv")
+    assert code == 1 and "weyl.shift_clock_commutation,inf,0.0,False" in out
 
 
 def test_verify_failing_float_check_exits_1(capsys, monkeypatch):
@@ -419,6 +427,22 @@ def test_verify_failing_float_check_exits_1(capsys, monkeypatch):
     assert abs(failed[0]["residual"] - 1e-6) < 1e-9
 
 
+def test_verify_nan_residual_fails(capsys, monkeypatch):
+    # nan compares false with everything, so a max over the cases would
+    # pass it over; the check must fail with residual inf instead
+    from mubkit import qdft
+    monkeypatch.setattr(qdft, "trace_fra", lambda d, r=0, a=0: complex("nan"))
+    code, out, _ = run(capsys, "verify", "qdft", "--d-max", "3", "--format", "pretty")
+    assert code == 1
+    assert "FAIL  qdft.trace_two_route" in out and "residual inf" in out
+    assert out.rstrip().endswith("overall: FAIL")
+    code, out, _ = run(capsys, "verify", "qdft", "--d-max", "3", "--format", "json")
+    payload = parse_document(out)["payload"]
+    assert code == 1 and payload["passed"] is False
+    [failed] = [c for c in payload["checks"] if not c["passed"]]
+    assert failed["name"] == "qdft.trace_two_route" and failed["residual"] is None
+
+
 def test_mub_verify_with_a_corrupted_basis_exits_1(capsys, monkeypatch):
     from mubkit import mub
     real = mub.mub_prime
@@ -436,6 +460,36 @@ def test_mub_verify_with_a_corrupted_basis_exits_1(capsys, monkeypatch):
     assert "FAIL  unbiased[r=0,a=0|r=0,a=1]" in out
     assert "PASS  unbiased[r=0,a=1|r=0,a=2]" in out
     assert out.rstrip().endswith("overall: FAIL")
+    code, out, _ = run(capsys, "mub", "--p", "5", "--verify", "--format", "json")
+    report = parse_document(out)["payload"]["verification"]
+    assert code == 1 and report["passed"] is False
+    assert {c["name"]: c["passed"] for c in report["checks"]}["orthonormal[r=0,a=0]"] is False
+
+
+def test_mub_verify_nan_residual_is_json_null(capsys, monkeypatch):
+    from mubkit import mub
+    monkeypatch.setattr(mub, "orthonormality", lambda basis: float("nan"))
+    code, out, _ = run(capsys, "mub", "--p", "3", "--verify", "--format", "json")
+    report = parse_document(out)["payload"]["verification"]
+    assert code == 1 and report["passed"] is False
+    orthonormal = [c for c in report["checks"] if c["name"].startswith("orthonormal")]
+    assert orthonormal and all(c["residual"] is None and not c["passed"] for c in orthonormal)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 3), (5, 5)])
+def test_complex_payloads_keep_the_float_pairs(shape):
+    from mubkit import cli
+    rng = np.random.default_rng(0)
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    arr.flat[0] = complex(-0.0, 0.0)
+    pair = lambda v: [float(v.real), float(v.imag)]
+    if len(shape) == 1:
+        got, want = cli.complex_vector_payload(arr)["entries"], [pair(v) for v in arr]
+    else:
+        got = cli.complex_matrix_payload(arr)["entries"]
+        want = [[pair(v) for v in row] for row in arr]
+    assert json.dumps(got) == json.dumps(want)
+    assert all(type(x) is float for x in np.ravel(got).tolist())
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,8 +8,10 @@ from sympy import N as sympy_n
 from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_3j
 
-from mubkit.wigner import (wigner_3jm, clebsch_gordan, cg_alpha, fbar,
-                           basis_change_coeff, fbar_conjugation_factor)
+from mubkit import verify
+from mubkit.phases import _phase_complex
+from mubkit.wigner import (wigner_3jm, clebsch_gordan, cg_alpha, cg_alpha_table, fbar,
+                           fbar_table, basis_change_coeff, fbar_conjugation_factor)
 
 
 def sympy_3j(two_j1, two_j2, two_j3, two_m1, two_m2, two_m3):
@@ -226,3 +228,73 @@ def test_fbar_reduces_to_3jm_at_alpha_zero_j_integer():
             total += wigner_3jm(tj, tj, tj, tm1, tm2, tm3)
     want = total / sqrt((tj + 1) ** 3)
     assert fbar(tj, tj, tj, 0, 0, 0) == pytest.approx(want, abs=1e-12)
+
+
+# -- the tables against the scalars and a direct triple sum -----------------
+
+def _weight(two_j, two_m, alpha, sign):
+    return _phase_complex(sign * ((two_j + two_m) // 2) * alpha % (two_j + 1), two_j + 1)
+
+
+def direct_sums(tj1, tj2, tj3):
+    """The oracle: for every (a1, a2, a3), the f-bar symbol and cg_alpha as
+    triple loops over (m1, m2), each term a magnetic coefficient times
+    three phase weights.  The magnetic coefficients are evaluated once per
+    (m1, m2)."""
+    fbar_terms, cg_terms = [], []
+    if (tj1 + tj2 + tj3) % 2 == 0 and abs(tj1 - tj2) <= tj3 <= tj1 + tj2:
+        for tm1 in range(-tj1, tj1 + 1, 2):
+            for tm2 in range(-tj2, tj2 + 1, 2):
+                if abs(tm1 + tm2) <= tj3:
+                    fbar_terms.append((tm1, tm2, -(tm1 + tm2),
+                                       wigner_3jm(tj1, tj2, tj3, tm1, tm2, -(tm1 + tm2))))
+                    cg_terms.append((tm1, tm2, tm1 + tm2,
+                                     clebsch_gordan(tj1, tm1, tj2, tm2, tj3, tm1 + tm2)))
+    norm = sqrt((tj1 + 1) * (tj2 + 1) * (tj3 + 1))
+    for a1, a2, a3 in _alpha_sweep(tj1, tj2, tj3):
+        f = sum((c * _weight(tj1, tm1, a1, -1) * _weight(tj2, tm2, a2, -1)
+                 * _weight(tj3, tm3, a3, -1) for tm1, tm2, tm3, c in fbar_terms), 0j)
+        g = sum((c * _weight(tj1, tm1, a1, -1) * _weight(tj2, tm2, a2, -1)
+                 * _weight(tj3, tm3, a3, +1) for tm1, tm2, tm3, c in cg_terms), 0j)
+        yield (a1, a2, a3), f / norm, g / norm
+
+
+@pytest.mark.parametrize("tj1,tj2,tj3", list(itertools.product(range(7), repeat=3)))
+def test_tables_match_scalars_and_direct_sum(tj1, tj2, tj3):
+    # every triple with 2j <= 6, triangle violations included
+    ftab = fbar_table(tj1, tj2, tj3)
+    ctab = cg_alpha_table(tj1, tj2, tj3)
+    assert ftab.shape == ctab.shape == (tj1 + 1, tj2 + 1, tj3 + 1)
+    assert ftab.dtype == ctab.dtype == complex
+    for a, want_fbar, want_cg in direct_sums(tj1, tj2, tj3):
+        a1, a2, a3 = a
+        assert abs(ftab[a] - want_fbar) < 1e-13
+        assert abs(fbar(tj1, tj2, tj3, a1, a2, a3) - want_fbar) < 1e-13
+        assert abs(ctab[a] - want_cg) < 1e-13
+        assert abs(cg_alpha(tj1, tj2, a1, a2, tj3, a3) - want_cg) < 1e-13
+
+
+def test_tables_are_zero_outside_the_triangle_rule():
+    for triple in ((0, 0, 2), (1, 2, 5), (1, 1, 1), (4, 0, 2)):
+        for table in (fbar_table(*triple), cg_alpha_table(*triple)):
+            assert table.shape == tuple(tj + 1 for tj in triple)
+            assert not table.any()
+
+
+@pytest.mark.parametrize("spins,error", [((1.0, 1, 2), TypeError), ((2, 2, 2.5), TypeError),
+                                         ((-1, 1, 0), ValueError), ((2, -2, 0), ValueError),
+                                         ((2, 2, -2), ValueError)])
+def test_tables_reject_malformed_spins_as_the_scalars_do(spins, error):
+    tj1, tj2, tj3 = spins
+    for call in (lambda: fbar_table(tj1, tj2, tj3), lambda: cg_alpha_table(tj1, tj2, tj3),
+                 lambda: fbar(tj1, tj2, tj3, 0, 0, 0), lambda: cg_alpha(tj1, tj2, 0, 0, tj3, 0)):
+        with pytest.raises(error):
+            call()
+
+
+def test_wigner_invariants_keep_their_case_counts():
+    sweep = verify._Sweep("wigner", 13)
+    counts = {inv.name: len(list(inv.cases(sweep)))
+              for inv in verify.INVARIANTS if inv.name.startswith("wigner.")}
+    assert counts == {"wigner.threejm_orthogonality": 24, "wigner.fbar_symmetries": 4437,
+                      "wigner.basis_change_unitarity": 6, "wigner.cg_alpha_two_route": 1479}
