@@ -6,9 +6,10 @@ arithmetic.
 from fractions import Fraction
 
 from mubkit import (pauli_compose, pauli_element_matrix,
-                    pauli_trace_orthogonality, q_power, sine_commutator_check,
+                    pauli_trace_orthogonality, sine_commutator_check,
                     sine_product_check, u_ab, vra_matrix, x_matrix, z_matrix)
 from mubkit.cli import matrix_payload, render_document, document
+from mubkit.phases import q_power
 
 
 def show(name, m, d):

@@ -5,8 +5,7 @@ suites.
 Output formats: ``json`` (canonical: sorted keys, fixed separators, exact
 phases as [numerator, denominator] turn pairs plus an amplitude tag, so
 emit -> parse -> emit is byte-identical), ``csv`` (re/im pair columns,
-row-major) and ``pretty`` (entries rendered as powers of q).  The
-``MUBKIT_FORMAT`` environment variable sets the default format.
+row-major) and ``pretty`` (entries rendered as powers of q, the default).
 
 Exit codes: 0 success, 1 a requested verification failed, 2 usage error,
 including input beyond the resource and accuracy bounds below.
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -374,12 +372,13 @@ def cmd_mub(args) -> tuple[dict, int]:
     else:
         if args.p is None:
             raise UsageError("mub requires --p")
+        # the bound first: trial division of a huge p would not finish
+        _check_entries((args.p + 1) * args.p * args.p, f"mub --p {args.p}")
         if not mub.is_prime(args.p):
             raise UsageError(
                 f"p = {args.p} is not prime, so a complete set is not "
                 f"guaranteed; use --three-mub for the guaranteed triple in "
                 f"composite dimension")
-        _check_entries((args.p + 1) * args.p * args.p, f"mub --p {args.p}")
         ms = mub.mub_prime(args.p, r)
         params = {"construction": "prime", "p": args.p, "r": _rational_tag(r)}
     payload = {"type": "basis_set", "dim": ms.dim,
@@ -409,7 +408,14 @@ def cmd_gauss(args) -> tuple[dict, int]:
     if abs(args.w) > MAX_GAUSS_TERMS:
         raise UsageError(f"|w| = {abs(args.w)} exceeds {MAX_GAUSS_TERMS}: the sum "
                          f"adds |w| terms one by one, so the run time grows with |w|")
-    value = qdft.gauss_sum(args.u, v, args.w)
+    if args.w == 0:
+        raise UsageError("w must be nonzero")
+    # S(u, v, w) has period 2|w| in u and in v; an exact value beyond one
+    # period is reduced, so that the float terms stay finite and exact
+    period = 2 * abs(args.w)
+    u, v_sum = (x % period if not isinstance(x, float) and abs(x) > period else x
+                for x in (args.u, v))
+    value = qdft.gauss_sum(u, v_sum, args.w)
     params = {"u": args.u, "v": _rational_tag(v), "w": args.w}
     return document("gauss", params, scalar_payload(value)), 0
 
@@ -499,11 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mubkit",
         description="quadratic Fourier matrices, Pauli operator families and "
                     "mutually unbiased bases, with exact phase arithmetic")
-    default_format = os.environ.get("MUBKIT_FORMAT", "pretty")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default=default_format)
+        p.add_argument("--format", choices=FORMATS, default="pretty")
 
     p = sub.add_parser("matrix", help="emit one matrix of the family")
     p.add_argument("kind", choices=["fra", "hra", "dra", "vra", "x", "z",

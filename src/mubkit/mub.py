@@ -43,7 +43,6 @@ __all__ = [
     "entanglement_det",
     "commuting_classes",
     "sl_partition_check",
-    "phase_insensitive_equal",
 ]
 
 
@@ -318,15 +317,3 @@ def sl_partition_check(p: int) -> PartitionReport:
                       for cls in classes)
     return PartitionReport(p, disjoint, union_complete, all_abelian,
                            _gram_residual(p, list(paulis.values())))
-
-
-def phase_insensitive_equal(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
-    """Equality of vectors up to a global phase, aligned at the largest entry."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        return False
-    i = int(np.argmax(np.abs(u)))
-    if abs(u[i]) < tol or abs(v[i]) < tol:
-        return bool(np.max(np.abs(u - v)) < tol)
-    return bool(np.max(np.abs(u * (v[i] / u[i]) - v)) < tol)

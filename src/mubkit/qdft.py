@@ -197,12 +197,12 @@ class HadamardReport:
         return self.is_hadamard
 
 
-def is_generalized_hadamard(m, tol: float = 1e-10) -> HadamardReport:
-    """True iff m is unitary and every entry has modulus 1/sqrt(d)."""
+def is_generalized_hadamard(m) -> HadamardReport:
+    """True iff m is unitary and every entry has modulus 1/sqrt(d), within 1e-10."""
     arr = np.asarray(m, dtype=complex)
     n, nc = arr.shape
     if n != nc:
         raise ValueError("matrix must be square")
     unit = float(np.max(np.abs(arr.conj().T @ arr - np.eye(n))))
     mod = float(np.max(np.abs(np.abs(arr) - 1.0 / sqrt(n))))
-    return HadamardReport(n, unit, mod, tol)
+    return HadamardReport(n, unit, mod, 1e-10)

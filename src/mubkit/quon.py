@@ -28,7 +28,6 @@ from .phases import _phase_complex, as_fraction, is_rational
 Real = Union[int, Fraction, float]
 
 __all__ = [
-    "AngularState",
     "QuonRep",
     "Su2Triple",
     "q_number",
@@ -52,36 +51,6 @@ def _two_j(j: Real) -> int:
     if two.denominator != 1 or two <= 0:
         raise ValueError(f"j must be a positive half-integer, got {j}")
     return int(two)
-
-
-@dataclass(frozen=True)
-class AngularState:
-    """Spin labels (j, m) tied to the computational index n = j - m.
-
-    Index 0 is the highest-weight state |j, j> and index 2j the lowest,
-    which makes the relabeling a bijection onto {0, ..., 2j}.
-    """
-
-    j: Fraction
-    m: Fraction
-
-    def __post_init__(self):
-        j = Fraction(self.j)
-        m = Fraction(self.m)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "m", m)
-        _two_j(j)
-        if abs(m) > j or (j - m).denominator != 1:
-            raise ValueError(f"m = {m} is not a valid projection for j = {j}")
-
-    @property
-    def n(self) -> int:
-        return int(self.j - self.m)
-
-    @classmethod
-    def from_index(cls, j, n: int) -> "AngularState":
-        j = Fraction(j)
-        return cls(j, j - n)
 
 
 def q_number(n: int, k: int) -> complex:
@@ -187,12 +156,12 @@ def vra_tensor_power_phase(k: int, r: Real, a: int) -> complex:
     return cmath.exp(1j * pi * (k - 1) * (float(r) + (a % k)))
 
 
-def restrict_to_j(op: np.ndarray, j: Real, tol: float = 1e-12) -> np.ndarray:
+def restrict_to_j(op: np.ndarray, j: Real) -> np.ndarray:
     """Matrix of a tensor-space operator on the spin-j subspace.
 
     The subspace is spanned by |j+m, j-m) and the result is indexed by the
     computational label n = j - m.  Raises if any column leaks outside the
-    subspace beyond tol.
+    subspace beyond 1e-12.
     """
     two_j = _two_j(j)
     k = two_j + 1
@@ -203,7 +172,7 @@ def restrict_to_j(op: np.ndarray, j: Real, tol: float = 1e-12) -> np.ndarray:
     keep[flat] = True
     sub = op[np.ix_(flat, flat)]
     leak = float(np.max(np.abs(op[~keep][:, flat]))) if k * k > k else 0.0
-    if leak > tol:
+    if leak > 1e-12:
         raise ValueError(f"subspace is not stable: leakage {leak:.3e}")
     return sub
 

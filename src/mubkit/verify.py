@@ -90,6 +90,16 @@ def _row_symmetry_holds(f: PhaseMatrix, d: int, r, a: int) -> bool:
                 and np.all((e[-1] - e[0] - corner) % m == 0))
 
 
+def _diagonalizes_vra(h: PhaseMatrix, d: int, r, a: int) -> bool:
+    """V_ra @ h == h @ Lambda_ra exactly, Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha}):
+    h = H_ra is the eigenvector matrix of V_ra, column alpha to that eigenvalue."""
+    r = Fraction(r)
+    u, v = r.numerator, r.denominator
+    lam = PhaseMatrix.monomial(range(d), [(d - 1) * (u + a * v) - 2 * v * alpha
+                                          for alpha in range(d)], 2 * v)
+    return weyl.vra_matrix(d, r, a) @ h == h @ lam
+
+
 _BASIS_TOLERANCE = 1e-10
 
 
@@ -258,6 +268,11 @@ class _Sweep:
     def _row_symmetry(self):
         for d, r, a in _dra_cases(self.qdft_dims, (0, 1)):
             yield _row_symmetry_holds(qdft.fra_matrix(d, r, a), d, r, a)
+
+    @_invariant("qdft.hra_diagonalizes_vra")
+    def _hra_diagonalizes_vra(self):
+        for d, r, a in _dra_cases(self.upto(8), (0, Fraction(1, 3), Fraction(1, 2))):
+            yield _diagonalizes_vra(qdft.hra_matrix(d, r, a), d, r, a)
 
     @_invariant("qdft.fourth_power_identity", 1e-10)
     def _fourth_power_identity(self):

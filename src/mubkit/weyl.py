@@ -8,7 +8,11 @@ phase arithmetic.  The shift matrix X and clock matrix Z satisfy
     X Z = q Z X,    X^d = Z^d = I,    q = exp(2*pi*i/d),
 
 and V_ra = P_r X Z^a is the one-parameter deformation whose eigenvector
-matrix is the quadratic Fourier companion H_ra.
+matrix is the quadratic Fourier companion H_ra:
+
+    V_ra H_ra = H_ra Lambda_ra,    Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha}),
+
+which :mod:`mubkit.verify` checks exactly as ``qdft.hra_diagonalizes_vra``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .phases import ExactPhase, PhaseMatrix, as_fraction, q_power, trace_gram
-from .qdft import fra_matrix, hra_matrix
+from .qdft import fra_matrix
 
 Rational = Union[int, Fraction]
 
@@ -31,13 +35,10 @@ __all__ = [
     "vra_matrix",
     "vra_band_matrix",
     "vra_power_phase",
-    "expected_vra_eigenvalues",
-    "diagonalize_vra",
     "u_ab",
     "vra_q_commutation_checks",
     "weyl_relation_check",
     "pauli_trace_orthogonality",
-    "uab_commutators",
     "pauli_compose",
     "pauli_element_matrix",
     "t_matrix",
@@ -105,19 +106,6 @@ def vra_power_phase(d: int, r: Rational, a: int) -> ExactPhase:
     return q_power(2, (as_fraction(r) + a) * (d - 1))
 
 
-def expected_vra_eigenvalues(d: int, r: Rational = 0, a: int = 0) -> np.ndarray:
-    """Eigenvalue q^{(d-1)(r+a)/2 - alpha} attached to column alpha of H_ra."""
-    lead = q_power(d, Fraction(d - 1, 2) * (as_fraction(r) + a)).to_complex()
-    return np.array([lead * q_power(d, -al).to_complex() for al in range(d)])
-
-
-def diagonalize_vra(d: int, r: Rational = 0, a: int = 0) -> np.ndarray:
-    """Return H_ra^dag V_ra H_ra, diagonal with the expected spectrum."""
-    h = hra_matrix(d, r, a).to_complex()
-    v = vra_matrix(d, r, a).to_complex()
-    return h.conj().T @ v @ h
-
-
 def u_ab(d: int, idx: tuple[int, int]) -> PhaseMatrix:
     """Generalized Pauli matrix X^a Z^b, exact."""
     a, b = idx
@@ -175,30 +163,6 @@ def _gram_residual(d: int, paulis: list[PhaseMatrix]) -> float:
     return worst
 
 
-def uab_commutators(d: int, idx: tuple[int, int], idx2: tuple[int, int]) -> tuple[bool, bool]:
-    """Exact checks of the closed forms
-
-    [u, u'] = (q^{-ba'} - q^{-ab'}) u_{a+a', b+b'}
-    {u, u'} = (q^{-ba'} + q^{-ab'}) u_{a+a', b+b'}
-
-    Each side is evaluated as a complex matrix built from exact phases and
-    compared within 1e-13 (the coefficients are sums of two phases, which
-    leave pure phase arithmetic).
-    """
-    a, b = idx
-    a2, b2 = idx2
-    left = u_ab(d, idx).to_complex()
-    right = u_ab(d, idx2).to_complex()
-    both = u_ab(d, (a + a2, b + b2)).to_complex()
-    qba = q_power(d, -b * a2).to_complex()
-    qab = q_power(d, -a * b2).to_complex()
-    comm_ok = bool(np.max(np.abs(left @ right - right @ left
-                                 - (qba - qab) * both)) < 1e-13)
-    anti_ok = bool(np.max(np.abs(left @ right + right @ left
-                                 - (qba + qab) * both)) < 1e-13)
-    return comm_ok, anti_ok
-
-
 def pauli_compose(d: int, g: PauliGroupElement | tuple[int, int, int],
                   g2: PauliGroupElement | tuple[int, int, int]) -> PauliGroupElement:
     """Composition law of the order-d^3 Pauli group:
@@ -245,9 +209,9 @@ def sine_commutator_check(d: int, m: tuple[int, int], n: tuple[int, int]) -> flo
     return float(np.max(np.abs(tm @ tn - tn @ tm - rhs)))
 
 
-def regular_representation_check(d: int, tol: float = 1e-10) -> bool:
-    """Spectrum of X is exactly the d-th roots of unity, each once."""
+def regular_representation_check(d: int) -> bool:
+    """Spectrum of X is the d-th roots of unity, each once within 1e-10."""
     eigs = np.linalg.eigvals(x_matrix(d).to_complex())
     roots = np.exp(2j * np.pi * np.arange(d) / d)
-    counts = [int(np.sum(np.abs(eigs - root) < tol)) for root in roots]
+    counts = [int(np.sum(np.abs(eigs - root) < 1e-10)) for root in roots]
     return counts == [1] * d

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mubkit.cli import (main, parse_rational, parse_document, render_document,
-                        payload_to_matrix)
+from mubkit.cli import (build_parser, main, parse_half_integers, parse_rational,
+                        parse_document, render_document, payload_to_matrix)
 from mubkit.weyl import vra_matrix
 
 
@@ -242,11 +244,10 @@ def test_usage_error_exit_code_from_argparse():
     assert exc.value.code == 2
 
 
-def test_format_env_variable_sets_default(capsys, monkeypatch):
-    monkeypatch.setenv("MUBKIT_FORMAT", "json")
+def test_format_defaults_to_pretty(capsys):
     code, out, _ = run(capsys, "matrix", "z", "--d", "2")
     assert code == 0
-    assert out.startswith('{"command"')
+    assert out.startswith("# matrix ")
 
 
 def test_basis_set_has_no_csv_rendering(capsys):
@@ -312,6 +313,33 @@ def test_payload_entry_bound_admits_benchmark_sizes(capsys):
     assert 98 * 97 ** 2 <= cli.MAX_PAYLOAD_ENTRIES   # mub --p 97
     code, _, err = run(capsys, "mub", "--p", "101")
     assert code == 2 and "would emit 1040502 matrix entries" in err
+
+
+def test_mub_entry_bound_comes_before_primality(capsys):
+    # trial division of 2^61 - 1, a prime, would not finish
+    code, out, err = run(capsys, "mub", "--p", str(2 ** 61 - 1))
+    assert code == 2 and out == ""
+    assert "matrix entries; the limit is 1000000" in err
+
+
+def gauss_doc(capsys, u, v, w="5"):
+    code, out, _ = run(capsys, "gauss", "--u", str(u), "--v", str(v), "--w", w,
+                       "--format", "json")
+    assert code == 0
+    return parse_document(out)
+
+
+def test_gauss_reduces_exact_arguments_by_the_period(capsys):
+    # S(u, v, w) has period 2|w| in u and in v
+    big = 10 ** 400
+    doc = gauss_doc(capsys, 1, big)
+    assert doc["params"]["v"] == str(big)
+    assert doc["payload"] == gauss_doc(capsys, 1, 0)["payload"]
+    assert gauss_doc(capsys, big + 1, 0)["payload"] == gauss_doc(capsys, 1, 0)["payload"]
+    # not rounded through float(v)
+    assert gauss_doc(capsys, 1, 10 ** 20 + 1)["payload"] == gauss_doc(capsys, 1, 1)["payload"]
+    assert gauss_doc(capsys, 2, Fraction(-10 ** 30 - 1, 3))["payload"] == (
+        gauss_doc(capsys, 2, Fraction(-10 ** 30 - 1, 3) % 10)["payload"])
 
 
 def test_fbar_spin_bound(capsys):
@@ -507,3 +535,85 @@ def test_decimal_r_beyond_two_is_usage_error(tmp_path, capsys, argv, value, exac
     assert "outside [-2, 2]" in err and f"--r {exact}" in err
     assert run(capsys, *argv, "--r", exact, "--format", "json")[0] == 0
     assert run(capsys, *argv, "--r", "-1.999", "--format", "json")[0] == 0
+
+
+# -- round trips ------------------------------------------------------------------
+
+ROUND_TRIP = settings(max_examples=40, deadline=None)
+KINDS = ["fra", "hra", "dra", "vra", "x", "z", "pr", "uab", "t"]
+
+
+def handled(*argv):
+    """The document a command builds, before rendering."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    return args.handler(args)[0]
+
+
+def assert_json_round_trip(doc):
+    text = render_document(doc, "json")
+    assert render_document(json.loads(text), "json") == text
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_parse_rational_reads_back_str(x):
+    assert parse_rational(str(x)) == x
+
+
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=6))
+def test_parse_half_integers_doubles_k_over_2(ks):
+    assert parse_half_integers(",".join(str(Fraction(k, 2)) for k in ks)) == ks
+
+
+@ROUND_TRIP
+@given(kind=st.sampled_from(KINDS), d=st.integers(2, 9), a=st.integers(-9, 18),
+       r=st.fractions(-2, 2, max_denominator=12), decimal=st.booleans())
+def test_matrix_json_round_trip(kind, d, a, r, decimal):
+    # monomial and full phase_matrix payloads, and complex_matrix for a decimal r
+    r_text = repr(float(r)) if decimal and kind in ("fra", "hra", "dra") else str(r)
+    extra = {"uab": ["--b", a + 1], "t": ["--n1", a, "--n2", 2 * a]}.get(kind, [])
+    assert_json_round_trip(handled("matrix", kind, "--d", d, "--r", r_text, "--a", a, *extra))
+
+
+@ROUND_TRIP
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), r=st.fractions(-2, 2, max_denominator=6),
+       three=st.booleans())
+def test_basis_set_with_verification_json_round_trip(p, r, three):
+    argv = ["mub", "--p", p + 1 if three else p, "--r", r, "--verify"]
+    assert_json_round_trip(handled(*argv, *(["--three-mub"] if three else [])))
+
+
+@ROUND_TRIP
+@given(u=st.integers(-30, 30), v=st.fractions(-30, 30, max_denominator=7),
+       w=st.integers(1, 40), negative=st.booleans())
+def test_complex_scalar_json_round_trip(u, v, w, negative):
+    assert_json_round_trip(handled("gauss", "--u", u, "--v", v, "--w", -w if negative else w))
+
+
+@ROUND_TRIP
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=8))
+def test_complex_vector_json_round_trip(values):
+    from mubkit import cli
+    payload = cli.complex_vector_payload(np.array(values, dtype=complex))
+    assert_json_round_trip(cli.document("transform", {"d": len(values)}, payload))
+
+
+@ROUND_TRIP
+@given(st.lists(st.tuples(st.floats(), st.sampled_from([0.0, 1e-12, 1e-10])), max_size=5))
+def test_verification_report_json_round_trip(checks):
+    # a non-finite residual is written as null
+    from mubkit import cli
+    from mubkit.verify import CheckResult
+    results = [CheckResult(f"c{i}", res, tol) for i, (res, tol) in enumerate(checks)]
+    results.append(CheckResult("nan", float("nan"), 0.0))
+    doc = cli.document("verify", {}, cli._report_payload(results))
+    assert doc["payload"]["checks"][-1]["residual"] is None
+    assert_json_round_trip(doc)
+
+
+@ROUND_TRIP
+@given(st.lists(st.integers(0, 4), min_size=3, max_size=3), st.data())
+def test_fbar_value_json_round_trip(two_js, data):
+    spins = ",".join(str(Fraction(tj, 2)) for tj in two_js)
+    alphas = ",".join(str(data.draw(st.integers(0, tj))) for tj in two_js)
+    assert_json_round_trip(handled("fbar", "--j", spins, "--alpha", alphas))

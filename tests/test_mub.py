@@ -8,7 +8,7 @@ from mubkit.mub import (Basis, CommutingClass, is_prime, mub_prime, mub_three,
                         unbiasedness, orthonormality, max_pairwise_deviation,
                         gauss_inner_product, product_hadamard, mub_dim4,
                         entanglement_det, commuting_classes, sl_partition_check,
-                        class_commutes_exactly, phase_insensitive_equal)
+                        class_commutes_exactly)
 from mubkit.qdft import hra_matrix
 from mubkit.weyl import u_ab
 
@@ -297,8 +297,3 @@ def test_sl_partition_check_at_p61_is_exact():
     report = sl_partition_check(61)
     assert report.ok and type(report.gram_residual) is float
 
-
-def test_phase_insensitive_comparator():
-    v = np.array([1, 1j, -1]) / sqrt(3)
-    assert phase_insensitive_equal(v, 1j * v)
-    assert not phase_insensitive_equal(v, np.array([1, 1, 1]) / sqrt(3))

@@ -8,7 +8,7 @@ from mubkit.phases import PhaseMatrix, q_power
 from mubkit.qdft import (QdftParams, fra_matrix, hra_matrix, dra_matrix,
                          forward, inverse, parseval_check, gauss_sum,
                          trace_fra, det_fra, is_generalized_hadamard)
-from mubkit.verify import _row_symmetry_holds
+from mubkit.verify import _diagonalizes_vra, _row_symmetry_holds
 
 # F_02 at d=6 as exponents of q = exp(i pi/3); row n, column m carries
 # exponent n(6-n)*2/2 + n*m reduced mod 6
@@ -267,6 +267,16 @@ def test_row_symmetry_both_forms_flag_a_corrupted_entry(d, r, a, n, al):
     bad = PhaseMatrix.from_exponents(d, exps, f.scaled, f.modulus)
     assert not entrywise_row_symmetry(bad, d, r, a)
     assert not _row_symmetry_holds(bad, d, r, a)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_hra_diagonalizes_vra_and_its_neighbour_does_not(d):
+    # the registered check qdft.hra_diagonalizes_vra, and its negative
+    # control: H_r,a+1 in place of H_ra fails in every case
+    for r in (0, Fraction(1, 3), Fraction(1, 2)):
+        for a in range(d):
+            assert _diagonalizes_vra(hra_matrix(d, r, a), d, r, a)
+            assert not _diagonalizes_vra(hra_matrix(d, r, a + 1), d, r, a)
 
 
 @pytest.mark.parametrize("d", range(2, 13))

@@ -313,27 +313,6 @@ def test_invalid_spin_rejected():
         q_number(1, 1)
 
 
-def test_angular_state_relabeling_bijection():
-    from mubkit.quon import AngularState
-    j = Fraction(5, 2)
-    seen = set()
-    m = j
-    while m >= -j:
-        state = AngularState(j, m)
-        seen.add(state.n)
-        assert AngularState.from_index(j, state.n).m == m
-        m -= 1
-    assert seen == set(range(6))
-
-
-def test_angular_state_rejects_bad_projection():
-    from mubkit.quon import AngularState
-    with pytest.raises(ValueError):
-        AngularState(1, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        AngularState(1, 2)
-
-
 def q_through_exact_phase(d, e):
     """_q as it was, through an ExactPhase for rational e."""
     if is_rational(e):
