@@ -408,14 +408,7 @@ def cmd_gauss(args) -> tuple[dict, int]:
     if abs(args.w) > MAX_GAUSS_TERMS:
         raise UsageError(f"|w| = {abs(args.w)} exceeds {MAX_GAUSS_TERMS}: the sum "
                          f"adds |w| terms one by one, so the run time grows with |w|")
-    if args.w == 0:
-        raise UsageError("w must be nonzero")
-    # S(u, v, w) has period 2|w| in u and in v; an exact value beyond one
-    # period is reduced, so that the float terms stay finite and exact
-    period = 2 * abs(args.w)
-    u, v_sum = (x % period if not isinstance(x, float) and abs(x) > period else x
-                for x in (args.u, v))
-    value = qdft.gauss_sum(u, v_sum, args.w)
+    value = qdft.gauss_sum(args.u, v, args.w)
     params = {"u": args.u, "v": _rational_tag(v), "w": args.w}
     return document("gauss", params, scalar_payload(value)), 0
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi, sqrt
+from math import fmod, pi, sqrt
 from typing import Union
 
 import cmath
@@ -154,9 +154,20 @@ def parseval_check(x, xp, d: int, r: Real = 0, a: int = 0) -> tuple[complex, com
 
 
 def gauss_sum(u: int, v: Real, w: int) -> complex:
-    """S(u, v, w) = sum_{k=0}^{|w|-1} exp(i*pi*(u k^2 + v k)/w) by direct summation."""
+    """S(u, v, w) = sum_{k=0}^{|w|-1} exp(i*pi*(u k^2 + v k)/w) by direct summation.
+
+    S has period 2|w| in u and in v.  A u or v of magnitude 2^53 or more,
+    where float() rounds integers or overflows, is first reduced modulo
+    2|w|, exactly (fmod is exact on floats); smaller values are summed as
+    given, so the float rounding of the callers' sums stays as it was.
+    """
     if w == 0:
         raise ValueError("w must be nonzero")
+    period = 2 * abs(w)
+    if abs(u) >= 2 ** 53:
+        u %= period
+    if abs(v) >= 2 ** 53:
+        v = fmod(v, period) if isinstance(v, float) else v % period
     vf = float(v)
     return sum(cmath.exp(1j * pi * (u * k * k + vf * k) / w) for k in range(abs(w)))
 

@@ -322,6 +322,16 @@ def test_mub_entry_bound_comes_before_primality(capsys):
     assert "matrix entries; the limit is 1000000" in err
 
 
+def test_composite_p_message_depends_on_the_entry_bound(capsys):
+    # p = 99 is within the bound and fails the primality test; from
+    # p = 100 on the bound is checked first
+    code, out, err = run(capsys, "mub", "--p", "99")
+    assert code == 2 and out == "" and "p = 99 is not prime" in err
+    code, out, err = run(capsys, "mub", "--p", "100")
+    assert code == 2 and out == ""
+    assert "would emit 1010000 matrix entries" in err and "not prime" not in err
+
+
 def gauss_doc(capsys, u, v, w="5"):
     code, out, _ = run(capsys, "gauss", "--u", str(u), "--v", str(v), "--w", w,
                        "--format", "json")
@@ -340,6 +350,10 @@ def test_gauss_reduces_exact_arguments_by_the_period(capsys):
     assert gauss_doc(capsys, 1, 10 ** 20 + 1)["payload"] == gauss_doc(capsys, 1, 1)["payload"]
     assert gauss_doc(capsys, 2, Fraction(-10 ** 30 - 1, 3))["payload"] == (
         gauss_doc(capsys, 2, Fraction(-10 ** 30 - 1, 3) % 10)["payload"])
+    # a decimal is reduced exactly too
+    assert gauss_doc(capsys, 1, "1e20")["payload"] == gauss_doc(capsys, 1, 0)["payload"]
+    code, _, err = run(capsys, "gauss", "--u", "1", "--v", "0", "--w", "0")
+    assert code == 2 and "w must be nonzero" in err
 
 
 def test_fbar_spin_bound(capsys):

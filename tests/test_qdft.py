@@ -159,6 +159,19 @@ def test_gauss_sum_rejects_zero_w():
         gauss_sum(1, 1, 0)
 
 
+def test_gauss_sum_reduces_arguments_by_the_period():
+    # S(u, v, w) has period 2|w| in u and in v; values of magnitude 2^53 or
+    # more neither overflow float() nor lose the digits of the angle
+    base = gauss_sum(1, 0, 5)
+    assert gauss_sum(1, 10 ** 400, 5) == base
+    assert gauss_sum(10 ** 400 + 1, 0, -5) == gauss_sum(1, 0, -5)
+    assert gauss_sum(1, 1e20, 5) == base                  # 1e20 is a multiple of 10
+    assert gauss_sum(1, 10 ** 20 + 1, 5) == gauss_sum(1, 1, 5)
+    big = Fraction(-10 ** 30 - 1, 3)
+    assert gauss_sum(2, big, 5) == gauss_sum(2, big % 10, 5)
+    assert gauss_sum(2, -2.0 ** 60, 5) == gauss_sum(2, -6.0, 5)     # 2^60 = 6 mod 10
+
+
 def test_gauss_sum_trace_link_d6():
     # the trace parameters (2-a, d(a-r)+r, d) at d=6, r=0, a=2
     s = gauss_sum(0, 12, 6)
