@@ -158,8 +158,8 @@ def gauss_sum(u: int, v: Real, w: int) -> complex:
 
     S has period 2|w| in u and in v.  A u or v of magnitude 2^53 or more,
     where float() rounds integers or overflows, is first reduced modulo
-    2|w|, exactly (fmod is exact on floats); smaller values are summed as
-    given, so the float rounding of the callers' sums stays as it was.
+    2|w|, exactly (fmod is exact on floats).  Smaller values, such as the
+    v of trace_fra and gauss_inner_product, are summed as given.
     """
     if w == 0:
         raise ValueError("w must be nonzero")
