@@ -20,8 +20,7 @@ from .qdft import (fra_matrix, hra_matrix, dra_matrix, forward, inverse,
 from .weyl import (x_matrix, z_matrix, pr_matrix, vra_matrix, vra_band_matrix,
                    vra_power_phase, u_ab, weyl_relation_check,
                    pauli_trace_orthogonality, pauli_compose, pauli_element_matrix,
-                   t_matrix, sine_product_check, sine_commutator_check,
-                   regular_representation_check)
+                   t_matrix, sine_product_check, sine_commutator_check)
 from .quon import (quon_rep, build_vra_quonic, vra_tensor_power_phase,
                    restrict_to_j, su2_generators, eigenbasis, eigenvalue_vra,
                    overlap_same_a, rotation_conjugation_residual)

@@ -35,8 +35,8 @@ __all__ = ["main", "render_document", "parse_document", "payload_to_matrix"]
 
 # Bounds on input; a command beyond them exits 2 and names the reason.
 # Matrix entries one response may hold: d^2 for `matrix`, (p+1) p^2 for
-# `mub`.  10^6 entries is a JSON document of about 20 MB; it admits
-# `matrix --d 1000` and `mub --p 97`.
+# `mub`, d for `transform`.  10^6 entries is a JSON document of about
+# 20 MB; it admits `matrix --d 1000`, `mub --p 97` and `transform --d 10^6`.
 MAX_PAYLOAD_ENTRIES = 10 ** 6
 # `gauss` adds its |w| terms one at a time.
 MAX_GAUSS_TERMS = 10 ** 7
@@ -50,9 +50,6 @@ MAX_FBAR_TWO_J = 40
 # `verify qdft --d-max` took 0.13 s at 13, 0.8 s at 32, 2.4 s at 48 and
 # 5.3 s at 64 (2-core x86 host, Python 3.11).
 MAX_VERIFY_D = 32
-# `transform` builds the d x d matrix F_ra: peak RSS 90 MB at d = 1000,
-# 274 MB at 2000, 900 MB at 4000 (about 56 bytes per entry), same host.
-MAX_TRANSFORM_D = 2000
 
 
 class UsageError(Exception):
@@ -441,9 +438,7 @@ def _read_vector(path: str) -> np.ndarray:
 
 
 def cmd_transform(args) -> tuple[dict, int]:
-    if args.d > MAX_TRANSFORM_D:
-        raise UsageError(f"--d {args.d} exceeds {MAX_TRANSFORM_D}: the transform "
-                         f"builds the d x d matrix, so memory grows as d^2")
+    _check_entries(args.d, f"transform --d {args.d}")
     r = _parse_r(args.r)
     x = _read_vector(args.infile)
     if x.shape != (args.d,):

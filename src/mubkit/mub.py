@@ -263,11 +263,6 @@ def commuting_classes(p: int) -> list[CommutingClass]:
     return classes
 
 
-def class_commutes_exactly(p: int, cls: CommutingClass) -> bool:
-    """A @ B == B @ A exactly for every pair of the class, all products at once."""
-    return _commute_pairwise([u_ab(p, idx) for idx in cls.members])
-
-
 def _commute_pairwise(mats: list[PhaseMatrix]) -> bool:
     """a @ b == b @ a for every pair of a monomial family, from one batch."""
     _, cols, exps = pairwise_products(mats)

@@ -83,6 +83,22 @@ def _phase_complex(e: int, n: int) -> complex:
     return complex(cos(angle), sin(angle))
 
 
+def _phase_array(e: np.ndarray, n: int) -> np.ndarray:
+    """exp(2*pi*i*e/n) over an array of exponents 0 <= e <= n, with the
+    float operations of _phase_complex and its exact quarter turns.
+
+    e holds integers, or floats reduced mod n; such a float can round up
+    to n, so the quarter index is taken mod 4.
+    """
+    angle = 2.0 * pi * np.asarray(e / n, dtype=float)
+    out = np.empty(angle.shape, dtype=complex)
+    out.real, out.imag = np.cos(angle), np.sin(angle)
+    quarter = (4 * e) % n == 0
+    k = ((4 * e[quarter]) // n).astype(np.intp) % 4
+    out.real[quarter], out.imag[quarter] = _QUARTER_RE[k], _QUARTER_IM[k]
+    return out
+
+
 class ExactPhase:
     """The unit complex number exp(2*pi*i*turns), turns reduced and in [0, 1)."""
 
@@ -367,14 +383,10 @@ class PhaseMatrix:
         else:
             where, e = ..., self._exps
         # the same float operations as ExactPhase.to_complex, one array pass
-        angle = 2.0 * pi * np.asarray(e / n, dtype=float)
-        re, im = np.cos(angle), np.sin(angle)
-        quarter = (4 * e) % n == 0
-        k = ((4 * e[quarter]) // n).astype(np.intp)
-        re[quarter], im[quarter] = _QUARTER_RE[k], _QUARTER_IM[k]
+        phases = _phase_array(e, n)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        out.real[where] = self.amplitude * re
-        out.imag[where] = self.amplitude * im
+        out.real[where] = self.amplitude * phases.real
+        out.imag[where] = self.amplitude * phases.imag
         return out
 
     def trace(self) -> complex:

@@ -10,9 +10,16 @@ rational r every entry is an exact root of unity and the matrix is built
 in phase arithmetic.  A float r goes through the same exponent formula,
 evaluated as floats over the same modulus into a dense complex array;
 its entries are within 1e-11 of the exact ones for d <= 1000 (the bound
-of ``mubkit matrix --d``) and |r| <= 2.  The companion matrix H_ra
-carries the same columns with the rows in reverse order, and D_ra is
-the diagonal Gaussian factor with F_ra = D_ra F.
+of ``mubkit matrix --d``) and |r| <= 2, its row phases within 5e-16 * d
+of those of the same float taken exactly (measured for d <= 2^20).  H_ra
+is F_ra with the rows reversed, and the diagonal D_ra, F_ra = D_ra F,
+holds the row phases.  So ``forward`` is sqrt(d) * ifft(D_ra x) and
+``inverse`` conj(D_ra) * fft(y) / sqrt(d), in O(d) memory, within
+2e-15 * ||x||_2 of the dense products (at most 6.3e-16 measured over
+d <= 2000, rational and float r); at d = 2^20 Parseval held within
+2.4e-17 * ||x||_2 ||x'||_2 and the round trip within 7.6e-16 * max |x_m|.
+``det_fra`` is closed-form, from the DFT's eigenvalue multiplicities
+(McClellan & Parks, IEEE Trans. Audio Electroacoust. 20 (1972) 66).
 """
 
 from __future__ import annotations
@@ -26,12 +33,11 @@ import cmath
 
 import numpy as np
 
-from .phases import PhaseMatrix, exponent_dtype, is_rational
+from .phases import PhaseMatrix, _phase_array, _phase_complex, exponent_dtype, is_rational
 
 Real = Union[int, Fraction, float]
 
 __all__ = [
-    "QdftParams",
     "HadamardReport",
     "fra_matrix",
     "hra_matrix",
@@ -46,129 +52,112 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QdftParams:
-    """Validated (d, r, a) parameter triple; a is reduced mod d."""
-
-    d: int
-    r: Real = 0
-    a: int = 0
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("dimension must be at least 2")
-        if not isinstance(self.a, int):
-            raise TypeError("a must be an integer")
-        object.__setattr__(self, "a", self.a % self.d)
-
-    @property
-    def exact(self) -> bool:
-        return is_rational(self.r)
+def _checked_a(d: int, a: int) -> int:
+    """a reduced mod d, after checking the (d, a) of an F_ra function."""
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    if not isinstance(a, int):
+        raise TypeError("a must be an integer")
+    return a % d
 
 
-def _exponents(p: QdftParams) -> tuple[np.ndarray, int]:
-    """(den * F_ra exponents, den) as a d x d array, E(n, m) = row(n) + nm with
-    row(n) = n(d-n)a/2 + (d-1)^2 r/4 - n(d-1)r/2.
+def _row(d: int, r: Real, a: int) -> tuple[np.ndarray, int]:
+    """(den * row(n) for n = 0..d-1, den): the row phases of F_ra, which are
+    the diagonal of D_ra, as exponents of q over den, in O(d), with
+    row(n) = n(d-n)a/2 + (d-1)(d-1-2n)r/4.
 
     r enters as rn/rd: its numerator and denominator for rational r, or
-    (float(r), 1) for a float r.  den = 4 rd, row(n) is reduced mod
-    den * d and nm mod d; the array holds integers for rational r and
-    floats otherwise.
+    (float(r), 1) for a float r.  den = 4 rd and the row is reduced mod
+    den * d; the array holds integers for rational r and floats otherwise.
+    The a term is an integer, reduced exactly before a float r term joins
+    it, so a float row carries only the rounding of that r term.
     """
-    d = p.d
-    rn, rd = (p.r.numerator, p.r.denominator) if p.exact else (float(p.r), 1)
+    a = _checked_a(d, a)
+    exact = is_rational(r)
+    rn, rd = (r.numerator, r.denominator) if exact else (float(r), 1)
     den = 4 * rd
     n = den * d
-    row = [(2 * i * (d - i) * p.a * rd + (d - 1) ** 2 * rn - 2 * i * (d - 1) * rn) % n
-           for i in range(d)]
-    dt = exponent_dtype(n) if p.exact else float
+    ka, kr = 2 * a * rd, (d - 1) * rn
+    row = [(ka * i * (d - i) % n + kr * (d - 1 - 2 * i)) % n for i in range(d)]
+    return np.array(row, dtype=exponent_dtype(n) if exact else float), den
+
+
+def _exponents(d: int, r: Real, a: int) -> tuple[np.ndarray, int]:
+    """(den * F_ra exponents, den) as a d x d array, E(n, m) = row(n) + nm,
+    nm reduced mod d."""
+    row, den = _row(d, r, a)
     k = np.arange(d)
     nm = (k[:, None] * k[None, :]) % d
-    return np.array(row, dtype=dt)[:, None] + den * nm.astype(dt), den
+    return row[:, None] + den * nm.astype(row.dtype), den
 
 
-def _unit_phases(e: np.ndarray, n: int) -> np.ndarray:
-    """exp(2*pi*i*e/n) for a float array e."""
-    angle = 2.0 * pi * e / n
-    out = np.empty(e.shape, dtype=complex)
-    out.real, out.imag = np.cos(angle), np.sin(angle)
-    return out
-
-
-def _build(p: QdftParams, e: np.ndarray, den: int) -> Union[PhaseMatrix, np.ndarray]:
+def _build(d: int, r: Real, e: np.ndarray, den: int) -> Union[PhaseMatrix, np.ndarray]:
     """Entries q**(e / den) / sqrt(d): exact phases for rational r, a dense
     complex array otherwise."""
-    if p.exact:
-        return PhaseMatrix.from_exponents(p.d, e, scaled=True, den=den)
-    return _unit_phases(e, den * p.d) / sqrt(p.d)
+    if is_rational(r):
+        return PhaseMatrix.from_exponents(d, e, scaled=True, den=den)
+    return _phase_array(e, den * d) / sqrt(d)
 
 
 def fra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
     """Quadratic Fourier matrix F_ra; exact for rational r."""
-    p = QdftParams(d, r, a)
-    return _build(p, *_exponents(p))
+    return _build(d, r, *_exponents(d, r, a))
 
 
 def hra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
     """Row-reversed companion of F_ra; its columns are the transformed basis."""
-    p = QdftParams(d, r, a)
-    e, den = _exponents(p)
-    return _build(p, e[::-1], den)
+    e, den = _exponents(d, r, a)
+    return _build(d, r, e[::-1], den)
 
 
 def dra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray]:
     """Diagonal Gaussian factor with F_ra = D_ra @ F; its entries are the row phases."""
-    p = QdftParams(d, r, a)
-    e, den = _exponents(p)
-    # column 0 of F_ra is row(n), since nm = 0 there
-    if p.exact:
-        return PhaseMatrix.monomial(range(d), e[:, 0], den)
-    return np.diag(_unit_phases(e[:, 0], den * d))
+    row, den = _row(d, r, a)
+    if is_rational(r):
+        return PhaseMatrix.monomial(range(d), row, den)
+    return np.diag(_phase_array(row, den * d))
 
 
-def forward(x, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
-    """y_n = sum_m (F_ra)_{mn} x_m."""
+def _chirp(x, d: int, r: Real, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x as a complex d-vector, the diagonal of D_ra as complex numbers)."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (d,):
         raise ValueError(f"signal must have length {d}")
-    return np.asarray(fra_matrix(d, r, a), dtype=complex).T @ x
+    row, den = _row(d, r, a)
+    return x, _phase_array(row, den * d)
+
+
+def forward(x, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
+    """y_n = sum_m (F_ra)_{mn} x_m, as sqrt(d) * ifft(D_ra x) since F_ra = D_ra F."""
+    x, chirp = _chirp(x, d, r, a)
+    return np.fft.ifft(chirp * x, norm="ortho")
 
 
 def inverse(y, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
-    """x_m = sum_n conj((F_ra)_{mn}) y_n; inverts :func:`forward`."""
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (d,):
-        raise ValueError(f"signal must have length {d}")
-    return np.asarray(fra_matrix(d, r, a), dtype=complex).conj() @ y
+    """x_m = sum_n conj((F_ra)_{mn}) y_n, as conj(D_ra) fft(y) / sqrt(d);
+    inverts :func:`forward`."""
+    y, chirp = _chirp(y, d, r, a)
+    return chirp.conj() * np.fft.fft(y, norm="ortho")
 
 
 def parseval_check(x, xp, d: int, r: Real = 0, a: int = 0) -> tuple[complex, complex]:
     """Return (sum conj(y_n) y'_n, sum conj(x_m) x'_m) for the same F_ra."""
-    x = np.asarray(x, dtype=complex)
-    xp = np.asarray(xp, dtype=complex)
-    if x.shape != (d,) or xp.shape != (d,):
-        raise ValueError(f"signals must have length {d}")
-    y = forward(x, d, r, a)
-    yp = forward(xp, d, r, a)
+    y, yp = forward(x, d, r, a), forward(xp, d, r, a)
     return complex(np.vdot(y, yp)), complex(np.vdot(x, xp))
 
 
 def gauss_sum(u: int, v: Real, w: int) -> complex:
     """S(u, v, w) = sum_{k=0}^{|w|-1} exp(i*pi*(u k^2 + v k)/w) by direct summation.
 
-    S has period 2|w| in u and in v.  A u or v of magnitude 2^53 or more,
-    where float() rounds integers or overflows, is first reduced modulo
-    2|w|, exactly (fmod is exact on floats).  Smaller values, such as the
-    v of trace_fra and gauss_inner_product, are summed as given.
+    S has period 2|w| in u and in v, so both are first reduced modulo 2|w|:
+    exactly for ints and Fractions, and with fmod, which is exact, for
+    floats.  The float angle then never carries more than one period.
     """
     if w == 0:
         raise ValueError("w must be nonzero")
     period = 2 * abs(w)
-    if abs(u) >= 2 ** 53:
-        u %= period
-    if abs(v) >= 2 ** 53:
-        v = fmod(v, period) if isinstance(v, float) else v % period
-    vf = float(v)
+    u %= period
+    vf = float(fmod(v, period) if isinstance(v, float) else v % period)
     return sum(cmath.exp(1j * pi * (u * k * k + vf * k) / w) for k in range(abs(w)))
 
 
@@ -177,17 +166,19 @@ def trace_fra(d: int, r: Real = 0, a: int = 0) -> complex:
 
     tr F_ra = exp(i*pi*(d-1)^2 r/(2d)) S(2-a, d(a-r)+r, d) / sqrt(d).
     """
-    p = QdftParams(d, r, a)
-    rf = float(p.r)
-    s = gauss_sum(2 - p.a, p.d * (p.a - rf) + rf, p.d)
-    return cmath.exp(1j * pi * (p.d - 1) ** 2 * rf / (2 * p.d)) * s / sqrt(p.d)
+    a = _checked_a(d, a)
+    rf = float(r)
+    s = gauss_sum(2 - a, d * (a - rf) + rf, d)
+    return cmath.exp(1j * pi * (d - 1) ** 2 * rf / (2 * d)) * s / sqrt(d)
 
 
 def det_fra(d: int, a: int) -> complex:
-    """det F_0a = exp(i*pi*(d^2-1)a/6) det F, with det F evaluated numerically."""
-    p = QdftParams(d, 0, a)
-    det_f = complex(np.linalg.det(np.asarray(fra_matrix(p.d), dtype=complex)))
-    return cmath.exp(1j * pi * (p.d * p.d - 1) * p.a / 6) * det_f
+    """det F_0a = exp(i*pi*(d^2-1)a/6) det F, with
+    det F = (-1)^floor((d+2)/4) i^floor((d+1)/4) (-i)^floor((d-1)/4),
+    Q quarter turns; so the turn ((d^2-1)a + 3Q)/12, exact on quarter turns."""
+    a = _checked_a(d, a)
+    quarters = 2 * ((d + 2) // 4) + (d + 1) // 4 + 3 * ((d - 1) // 4)
+    return _phase_complex(((d * d - 1) * a + 3 * quarters) % 12, 12)
 
 
 @dataclass(frozen=True)

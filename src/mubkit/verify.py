@@ -228,10 +228,14 @@ class _Sweep:
             conj = f.conj().T @ weyl.x_matrix(d).to_complex() @ f
             yield float(np.max(np.abs(conj - weyl.z_matrix(d).to_complex())))
 
-    @_invariant("weyl.regular_representation")
+    @_invariant("weyl.regular_representation", 1e-10)
     def _regular_representation(self):
+        # the spectrum of X is the d-th roots of unity, each once: each root
+        # has an eigenvalue far closer than the roots' spacing
         for d in self.upto(8):
-            yield weyl.regular_representation_check(d)
+            eigs = np.linalg.eigvals(weyl.x_matrix(d).to_complex())
+            roots = np.exp(2j * np.pi * np.arange(d) / d)
+            yield float(np.max(np.min(np.abs(roots[:, None] - eigs[None, :]), axis=1)))
 
     @_invariant("weyl.sampled_large_dimension", min_d_max=9)
     def _sampled_large_dimension(self):
@@ -308,10 +312,11 @@ class _Sweep:
             y = qdft.forward(x, d, Fraction(2, 3), d - 1)
             yield float(np.max(np.abs(qdft.inverse(y, d, Fraction(2, 3), d - 1) - x)))
 
-    @_invariant("qdft.hadamard_family")
+    @_invariant("qdft.hadamard_family", 1e-10)
     def _hadamard_family(self):
         for d in self.qdft_dims:
-            yield qdft.is_generalized_hadamard(qdft.fra_matrix(d, 0, d - 1))
+            report = qdft.is_generalized_hadamard(qdft.fra_matrix(d, 0, d - 1))
+            yield max(report.unitarity_residual, report.modulus_residual)
 
     # -- su2 / quon ----------------------------------------------------------
 

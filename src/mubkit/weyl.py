@@ -44,7 +44,6 @@ __all__ = [
     "t_matrix",
     "sine_product_check",
     "sine_commutator_check",
-    "regular_representation_check",
 ]
 
 
@@ -208,10 +207,3 @@ def sine_commutator_check(d: int, m: tuple[int, int], n: tuple[int, int]) -> flo
     rhs = coeff * t_matrix(d, (m1 + n1, m2 + n2)).to_complex()
     return float(np.max(np.abs(tm @ tn - tn @ tm - rhs)))
 
-
-def regular_representation_check(d: int) -> bool:
-    """Spectrum of X is the d-th roots of unity, each once within 1e-10."""
-    eigs = np.linalg.eigvals(x_matrix(d).to_complex())
-    roots = np.exp(2j * np.pi * np.arange(d) / d)
-    counts = [int(np.sum(np.abs(eigs - root) < 1e-10)) for root in roots]
-    return counts == [1] * d

@@ -33,7 +33,7 @@ def test_top_level_names_are_their_modules_objects():
 
 def test_result_types_and_helpers_come_from_their_modules():
     homes = {"phases": ["ExactPhase", "q_power"],
-             "qdft": ["QdftParams", "HadamardReport"],
+             "qdft": ["HadamardReport"],
              "weyl": ["PauliGroupElement"],
              "mub": ["Basis", "MubSet", "CommutingClass", "PartitionReport"],
              "quon": ["QuonRep", "Su2Triple", "q_number", "q_factorial",

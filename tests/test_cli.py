@@ -377,17 +377,21 @@ def test_verify_dimension_bound(capsys):
 
 
 def test_transform_dimension_bound(tmp_path, capsys):
-    from mubkit import cli
-    assert cli.MAX_TRANSFORM_D == 2000
-    path = tmp_path / "x.csv"
-    path.write_text("1,0\n")
-    code, out, err = run(capsys, "transform", "--d", "2001", "--in", str(path))
+    # --d takes the entry bound of matrix and mub, checked before the
+    # signal file is read: this one does not exist
+    code, out, err = run(capsys, "transform", "--d", "1000001",
+                         "--in", str(tmp_path / "missing.csv"))
     assert code == 2 and out == ""
-    assert "--d 2001 exceeds 2000" in err and "memory grows as d^2" in err
-    path.write_text("\n".join(["1,0"] + ["0,0"] * 1999))
-    code, out, _ = run(capsys, "transform", "--d", "2000", "--in", str(path),
-                       "--format", "json")
-    assert code == 0 and len(parse_document(out)["payload"]["entries"]) == 2000
+    assert "would emit 1000001 matrix entries; the limit is 1000000" in err
+    assert "cannot read" not in err
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(["1,0"] + ["0,0"] * 4095))
+    code, out, _ = run(capsys, "transform", "--d", "4096", "--r", "1/3", "--a", "2",
+                       "--in", str(path), "--format", "json")
+    y = np.array(parse_document(out)["payload"]["entries"]) @ [1, 1j]
+    # e_0 goes to row 0 of F_ra, the constant q^{(d-1)^2 r/4} / sqrt(d)
+    assert code == 0 and y.shape == (4096,)
+    assert np.max(np.abs(y - y[0])) < 1e-15 and abs(abs(y[0]) - 1 / 64) < 1e-15
 
 
 def test_phase_payload_neither_monomial_nor_full_is_usage_error():

@@ -4,11 +4,11 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mubkit.mub import (Basis, CommutingClass, is_prime, mub_prime, mub_three,
+from mubkit.mub import (Basis, is_prime, mub_prime, mub_three,
                         unbiasedness, orthonormality, max_pairwise_deviation,
                         gauss_inner_product, product_hadamard, mub_dim4,
                         entanglement_det, commuting_classes, sl_partition_check,
-                        class_commutes_exactly)
+                        _commute_pairwise)
 from mubkit.qdft import hra_matrix
 from mubkit.weyl import u_ab
 
@@ -242,19 +242,22 @@ def test_commuting_classes_p2_singletons():
     assert got == [[(0, 1)], [(1, 0)], [(1, 1)]]
 
 
+def commute_exactly(p, members):
+    return _commute_pairwise([u_ab(p, idx) for idx in members])
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_classes_commute_exactly(p):
     for cls in commuting_classes(p):
         assert len(cls.members) == p - 1
-        assert class_commutes_exactly(p, cls)
+        assert commute_exactly(p, cls.members)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_shift_and_clock_do_not_commute(p):
     # X Z = q Z X with q != 1, so a class holding both is not abelian
-    assert not class_commutes_exactly(p, CommutingClass(0, [(1, 0), (0, 1)]))
-    assert not class_commutes_exactly(p, CommutingClass(0, commuting_classes(p)[2].members
-                                                        + [(0, 1)]))
+    assert not commute_exactly(p, [(1, 0), (0, 1)])
+    assert not commute_exactly(p, commuting_classes(p)[2].members + [(0, 1)])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

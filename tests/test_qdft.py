@@ -4,8 +4,8 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mubkit.phases import PhaseMatrix, q_power
-from mubkit.qdft import (QdftParams, fra_matrix, hra_matrix, dra_matrix,
+from mubkit.phases import PhaseMatrix, _phase_array, q_power
+from mubkit.qdft import (_row, fra_matrix, hra_matrix, dra_matrix,
                          forward, inverse, parseval_check, gauss_sum,
                          trace_fra, det_fra, is_generalized_hadamard)
 from mubkit.verify import _diagonalizes_vra, _row_symmetry_holds
@@ -118,6 +118,53 @@ def test_round_trip_identity():
                                  Fraction(2, 3), 5) - x)) < 1e-12
 
 
+# forward and inverse against the dense products with F_ra, at the
+# tolerance the qdft docstring states for d <= 2000: 2e-15 * ||x||_2
+@pytest.mark.parametrize("d", [*range(2, 14), 64, 1000, 2000])
+def test_transform_matches_dense_product(d):
+    rng = np.random.default_rng(d)
+    rs = [Fraction(1, 3), 0.3] if d > 64 else [0, Fraction(1, 3), Fraction(-7, 5), 0.3, -1.999]
+    for r in rs:
+        for a in sorted({0, d // 2, d - 1}) if d <= 64 else [d - 1]:
+            f = np.asarray(fra_matrix(d, r, a))
+            x = rng.normal(size=d) + 1j * rng.normal(size=d)
+            tol = 2e-15 * np.linalg.norm(x)
+            assert np.max(np.abs(forward(x, d, r, a) - f.T @ x)) < tol
+            assert np.max(np.abs(inverse(x, d, r, a) - f.conj() @ x)) < tol
+
+
+def test_transform_at_two_to_the_twenty():
+    d, r, a = 2 ** 20, Fraction(1, 3), 2
+    row, den = _row(d, r, a)
+    n = den * d
+    m = np.arange(d, dtype=np.int64)
+    for k in (12345, d - 1):
+        # row k of F_ra from its exact exponents, evaluated on its own
+        e = (int(row[k]) + den * (k * m % d)) % n
+        want = np.exp(2j * np.pi * (e / n)) / np.sqrt(d)
+        assert np.max(np.abs(forward(np.eye(1, d, k)[0], d, r, a) - want)) < 2e-15
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    xp = rng.normal(size=d) + 1j * rng.normal(size=d)
+    lhs, rhs = parseval_check(x, xp, d, r, a)
+    assert abs(lhs - rhs) < 1e-15 * np.linalg.norm(x) * np.linalg.norm(xp)
+    back = inverse(forward(x, d, r, a), d, r, a)
+    assert np.max(np.abs(back - x)) < 1e-14 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("d", [1000, 2 ** 17])
+def test_float_row_phases_match_those_of_the_same_float(d):
+    # the stated 5e-16 * d; the integer a term is reduced before the float
+    # r term joins it, and summed as one float it cost 7e-11 at d = 1000
+    for r in (0.3, -1.999, 1.234567):
+        for a in (0, 1, d // 2, d - 1) if d == 1000 else (d // 2,):
+            got, den = _row(d, r, a)
+            exact, exact_den = _row(d, Fraction(r), a)
+            err = np.max(np.abs(_phase_array(got, den * d)
+                                - _phase_array(exact, exact_den * d)))
+            assert err < 5e-16 * d
+
+
 def test_forward_length_mismatch():
     with pytest.raises(ValueError):
         forward(np.ones(3), 4)
@@ -170,6 +217,9 @@ def test_gauss_sum_reduces_arguments_by_the_period():
     big = Fraction(-10 ** 30 - 1, 3)
     assert gauss_sum(2, big, 5) == gauss_sum(2, big % 10, 5)
     assert gauss_sum(2, -2.0 ** 60, 5) == gauss_sum(2, -6.0, 5)     # 2^60 = 6 mod 10
+    # below 2^53 too: summed as given, v = 10^15 left S(1, v, 5) at 0.914+0.071i
+    for v in (10 ** 12, 10 ** 15):
+        assert abs(gauss_sum(1, v, 5) - base) < 1e-12
 
 
 def test_gauss_sum_trace_link_d6():
@@ -206,11 +256,12 @@ def test_det_d2():
     assert abs(det_fra(2, 1) - 1j * det_f) < 1e-12
 
 
-@pytest.mark.parametrize("d", range(3, 9))
+@pytest.mark.parametrize("d", range(2, 61))
 def test_det_formula_vs_lu(d):
+    # the closed form against the dense LU, its second route
     for a in range(d):
         direct = np.linalg.det(fra_matrix(d, 0, a).to_complex())
-        assert abs(det_fra(d, a) - direct) < 1e-9
+        assert abs(det_fra(d, a) - direct) < 1e-12
 
 
 def test_hadamard_family_member():
@@ -318,11 +369,18 @@ def test_float_r_falls_back_to_complex():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        QdftParams(1)
-    assert QdftParams(5, 0, 7).a == 2
-    assert QdftParams(5, Fraction(1, 2)).exact
-    assert not QdftParams(5, 0.25).exact
+    # d below 2 and a non-integer a are refused; a is taken mod d
+    for bad in (lambda: fra_matrix(1), lambda: det_fra(1, 0)):
+        with pytest.raises(ValueError):
+            bad()
+    for bad in (lambda: fra_matrix(5, 0, 0.5), lambda: det_fra(5, 0.5)):
+        with pytest.raises(TypeError):
+            bad()
+    assert fra_matrix(5, 0, 7) == fra_matrix(5, 0, 2)
+    assert det_fra(5, 7) == det_fra(5, 2)
+    # rational r is exact, a float r is a dense complex array
+    assert isinstance(fra_matrix(5, Fraction(1, 2)), PhaseMatrix)
+    assert isinstance(fra_matrix(5, 0.25), np.ndarray)
 
 
 EVALUATOR_RS = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 2)]

@@ -29,6 +29,23 @@ def test_each_check_passes_on_its_own(inv, monkeypatch):
         assert type(result.residual) is float and result.residual == 0.0
 
 
+@pytest.mark.parametrize("inv", [inv for inv in INVARIANTS if inv.tolerance == 0.0],
+                         ids=lambda inv: inv.name)
+def test_exact_checks_decide_by_bools(inv, monkeypatch):
+    # tolerance 0 claims an exact verdict, so every case is a builtin bool,
+    # not a float residual or an object whose truth hides a threshold
+    seen = []
+
+    def cases(sweep):
+        for case in inv.cases(sweep):
+            seen.append(case)
+            yield case
+
+    monkeypatch.setattr(verify, "INVARIANTS", [inv._replace(cases=cases)])
+    SUITES[suite_of(inv)](max(5, inv.min_d_max), 0)
+    assert seen and all(type(case) is bool for case in seen)
+
+
 def test_names_are_unique_and_carry_their_suite_prefix():
     names = [inv.name for inv in INVARIANTS]
     assert len(names) == len(set(names))

@@ -12,8 +12,8 @@ from mubkit.weyl import (PauliGroupElement, x_matrix, z_matrix, pr_matrix,
                          vra_matrix, vra_band_matrix, vra_power_phase, u_ab,
                          weyl_relation_check, pauli_trace_orthogonality,
                          pauli_compose, pauli_element_matrix,
-                         t_matrix, sine_product_check, sine_commutator_check,
-                         regular_representation_check)
+                         t_matrix, sine_product_check, sine_commutator_check)
+from mubkit.verify import INVARIANTS, _Sweep
 
 
 def test_x_z_d2_are_sigma_layout():
@@ -262,7 +262,11 @@ def test_sine_product_identity_random_pairs():
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_regular_representation(d):
-    assert regular_representation_check(d)
+    # the registered check: each d-th root of unity lies within 1e-12 of an
+    # eigenvalue of X, one case per dimension up to d
+    [inv] = [inv for inv in INVARIANTS if inv.name == "weyl.regular_representation"]
+    residuals = list(inv.cases(_Sweep("weyl", d)))
+    assert len(residuals) == d - 1 and max(residuals) < 1e-12
 
 
 # -- invariants --------------------------------------------------------------
