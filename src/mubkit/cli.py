@@ -89,7 +89,7 @@ def _parse_r(text: str) -> Union[int, Fraction, float]:
     """The --r of matrix, mub and transform.  A decimal takes the
     floating-point path of qdft, which holds its 1e-11 tolerance for
     |r| <= 2; beyond, the gap to the exact matrix of the same float
-    reaches 9e-10 at d = 1000, r = 123456.789."""
+    reaches 6.5e-10 at d = 1000, r = 123456.789."""
     r = parse_rational(text)
     if isinstance(r, float) and abs(r) > 2:
         raise UsageError(f"decimal --r {text} is outside [-2, 2], where the "
