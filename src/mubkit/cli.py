@@ -56,9 +56,11 @@ class UsageError(Exception):
     pass
 
 
-def _check_entries(count: int, what: str) -> None:
+def _check_entries(count: int, what: str, shape: str) -> None:
+    """Refuse a payload of more than MAX_PAYLOAD_ENTRIES entries; shape
+    ("matrix" or "vector") names them in the message."""
     if count > MAX_PAYLOAD_ENTRIES:
-        raise UsageError(f"{what} would emit {count} matrix entries; the limit "
+        raise UsageError(f"{what} would emit {count} {shape} entries; the limit "
                          f"is {MAX_PAYLOAD_ENTRIES}, to bound time and memory")
 
 
@@ -316,7 +318,7 @@ def cmd_matrix(args) -> tuple[dict, int]:
     d = args.d
     if d is None or d < 2:
         raise UsageError("matrix requires --d of at least 2")
-    _check_entries(d * d, f"matrix --d {d}")
+    _check_entries(d * d, f"matrix --d {d}", "matrix")
     r = _parse_r(args.r)
     need_rational = kind in ("vra", "pr", "t", "uab", "x", "z")
     if need_rational and isinstance(r, float):
@@ -362,7 +364,7 @@ def cmd_mub(args) -> tuple[dict, int]:
     elif args.three_mub:
         if args.p is None:
             raise UsageError("--three-mub requires --p (the dimension)")
-        _check_entries(3 * args.p * args.p, f"mub --three-mub --p {args.p}")
+        _check_entries(3 * args.p * args.p, f"mub --three-mub --p {args.p}", "matrix")
         ms = mub.mub_three(args.p, r, args.a)
         params = {"construction": "three", "p": args.p,
                   "r": _rational_tag(r), "a": args.a}
@@ -370,7 +372,7 @@ def cmd_mub(args) -> tuple[dict, int]:
         if args.p is None:
             raise UsageError("mub requires --p")
         # the bound first: trial division of a huge p would not finish
-        _check_entries((args.p + 1) * args.p * args.p, f"mub --p {args.p}")
+        _check_entries((args.p + 1) * args.p * args.p, f"mub --p {args.p}", "matrix")
         if not mub.is_prime(args.p):
             raise UsageError(
                 f"p = {args.p} is not prime, so a complete set is not "
@@ -438,7 +440,7 @@ def _read_vector(path: str) -> np.ndarray:
 
 
 def cmd_transform(args) -> tuple[dict, int]:
-    _check_entries(args.d, f"transform --d {args.d}")
+    _check_entries(args.d, f"transform --d {args.d}", "vector")
     r = _parse_r(args.r)
     x = _read_vector(args.infile)
     if x.shape != (args.d,):

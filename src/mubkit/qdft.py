@@ -118,31 +118,39 @@ def dra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray
     return np.diag(_phase_array(row, den * d))
 
 
-def _chirp(x, d: int, r: Real, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x as a complex d-vector, the diagonal of D_ra as complex numbers)."""
+def _signal(x, d: int) -> np.ndarray:
+    """x as a complex d-vector."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (d,):
         raise ValueError(f"signal must have length {d}")
+    return x
+
+
+def _chirp(d: int, r: Real, a: int) -> np.ndarray:
+    """The diagonal of D_ra as complex numbers."""
     row, den = _row(d, r, a)
-    return x, _phase_array(row, den * d)
+    return _phase_array(row, den * d)
 
 
 def forward(x, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
     """y_n = sum_m (F_ra)_{mn} x_m, as sqrt(d) * ifft(D_ra x) since F_ra = D_ra F."""
-    x, chirp = _chirp(x, d, r, a)
-    return np.fft.ifft(chirp * x, norm="ortho")
+    x = _signal(x, d)
+    return np.fft.ifft(_chirp(d, r, a) * x, norm="ortho")
 
 
 def inverse(y, d: int, r: Real = 0, a: int = 0) -> np.ndarray:
     """x_m = sum_n conj((F_ra)_{mn}) y_n, as conj(D_ra) fft(y) / sqrt(d);
     inverts :func:`forward`."""
-    y, chirp = _chirp(y, d, r, a)
-    return chirp.conj() * np.fft.fft(y, norm="ortho")
+    y = _signal(y, d)
+    return _chirp(d, r, a).conj() * np.fft.fft(y, norm="ortho")
 
 
 def parseval_check(x, xp, d: int, r: Real = 0, a: int = 0) -> tuple[complex, complex]:
-    """Return (sum conj(y_n) y'_n, sum conj(x_m) x'_m) for the same F_ra."""
-    y, yp = forward(x, d, r, a), forward(xp, d, r, a)
+    """Return (sum conj(y_n) y'_n, sum conj(x_m) x'_m) for the same F_ra,
+    with y and y' the :func:`forward` transforms of x and x' under one D_ra."""
+    signals = _signal(x, d), _signal(xp, d)
+    chirp = _chirp(d, r, a)
+    y, yp = (np.fft.ifft(chirp * v, norm="ortho") for v in signals)
     return complex(np.vdot(y, yp)), complex(np.vdot(x, xp))
 
 

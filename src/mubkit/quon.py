@@ -9,6 +9,14 @@ Everything here is built from the oscillator generators, so it serves as
 an independent cross-check of the direct matrix constructions in
 :mod:`mubkit.weyl` and :mod:`mubkit.qdft`.
 
+v_ra = s_x s_y is a weighted monomial: it sends each |n1, n2) to the one
+state |n1+1, n2-1) (indices mod k) with one complex weight, read from the
+generator entries of :func:`quon_rep` and the s_x, s_y formulas of
+:func:`build_vra_quonic`.  It is held as that (target, weight) pair of
+length k^2, and its spin-j block is read from k of those entries, so the
+su(2) triple needs O(k^2) work and memory; h is kept as its diagonal.
+The dense k^2 x k^2 matrix is built only by :func:`build_vra_quonic`.
+
 The spin label m and the computational index n are tied by n = j - m,
 so index 0 is the highest-weight state.
 """
@@ -23,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .phases import _phase_complex, as_fraction, is_rational
+from .phases import _phase_array, _phase_complex, as_fraction, is_rational
 
 Real = Union[int, Fraction, float]
 
@@ -47,10 +55,21 @@ __all__ = [
 
 
 def _two_j(j: Real) -> int:
-    two = Fraction(j) * 2
-    if two.denominator != 1 or two <= 0:
+    f = j if is_rational(j) else Fraction(j)
+    if f.denominator not in (1, 2) or f.numerator <= 0:
         raise ValueError(f"j must be a positive half-integer, got {j}")
-    return int(two)
+    return 2 * f.numerator // f.denominator
+
+
+def _q_numbers(count: int, k: int) -> list[complex]:
+    """[n]_q for n = 0..count-1, each sum 1 + q + ... + q^(n-1) extending
+    the one before it in the same order of addition."""
+    q = cmath.exp(2j * pi / k)
+    out, total = [1 + 0j], 0
+    for i in range(count - 1):
+        total += q ** i
+        out.append(total + 0j)
+    return out
 
 
 def q_number(n: int, k: int) -> complex:
@@ -60,10 +79,7 @@ def q_number(n: int, k: int) -> complex:
         raise ValueError("k must be at least 2")
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1 + 0j
-    q = cmath.exp(2j * pi / k)
-    return sum(q ** i for i in range(n)) + 0j
+    return _q_numbers(n + 1, k)[n]
 
 
 def q_factorial(n: int, k: int) -> complex:
@@ -95,16 +111,16 @@ class QuonRep:
 def quon_rep(k: int) -> QuonRep:
     if k < 2:
         raise ValueError("k must be at least 2")
+    qn = np.array(_q_numbers(k, k))
+    n = np.arange(1, k)
     x_plus = np.zeros((k, k), dtype=complex)
     x_minus = np.zeros((k, k), dtype=complex)
     y_plus = np.zeros((k, k), dtype=complex)
     y_minus = np.zeros((k, k), dtype=complex)
-    for n in range(k - 1):
-        x_plus[n + 1, n] = 1.0
-        y_plus[n + 1, n] = q_number(n + 1, k)
-    for n in range(1, k):
-        x_minus[n - 1, n] = q_number(n, k)
-        y_minus[n - 1, n] = 1.0
+    x_plus[n, n - 1] = 1.0
+    y_plus[n, n - 1] = qn[n]
+    x_minus[n - 1, n] = qn[n]
+    y_minus[n - 1, n] = 1.0
     number = np.diag(np.arange(k, dtype=float)).astype(complex)
     return QuonRep(k, x_plus, x_minus, number, y_plus, y_minus, number.copy())
 
@@ -115,18 +131,41 @@ def tensor_index(k: int, n1: int, n2: int) -> int:
 
 
 def build_h(k: int) -> np.ndarray:
-    """Diagonal operator with entry sqrt(n1 (n2 + 1)) at |n1, n2)."""
+    """Diagonal of the operator h: entry sqrt(n1 (n2 + 1)) at |n1, n2),
+    in the order of :func:`tensor_index`."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    diag = [sqrt(n1 * (n2 + 1)) for n1 in range(k) for n2 in range(k)]
-    return np.diag(diag).astype(complex)
+    n1, n2 = np.divmod(np.arange(k * k), k)
+    return np.sqrt(n1 * (n2 + 1.0))
 
 
-def _half_q_diag(k: int, weight) -> np.ndarray:
-    """diag over |n1,n2) of exp(2*pi*i*weight(n1,n2)/(2k)) given doubled exponents."""
-    diag = [cmath.exp(1j * pi * weight(n1, n2) / k)
-            for n1 in range(k) for n2 in range(k)]
-    return np.diag(diag)
+def _vra_monomial(k: int, r: Real = 0, a: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """v_ra as (dest, weight): v_ra |i) = weight[i] |dest[i]) for every
+    flat index i of the tensor space.
+
+    s_y takes |n1, n2) to |n1, n2-1) with q^{-a(n1-n2)/2}, its phase
+    taken at the source, except that its wrap term takes |n1, 0) to
+    |n1, k-1) with e^{i phi_r/2} (y_+)^{k-1}/[k-1]_q!.  s_x then takes
+    |n1, n2) to |n1+1, n2) with q^{a(n1+1+n2)/2}, taken at the target,
+    except that its wrap term takes |k-1, n2) to |0, n2) with
+    e^{i phi_r/2} (x_-)^{k-1}/[k-1]_q!.  Each wrap weight is a running
+    product of ratios of generator entries to [n]_q, so it stays finite
+    where [k-1]_q! overflows (k above about 200).
+    """
+    rep = quon_rep(k)
+    a = a % k
+    half = cmath.exp(1j * pi * (k - 1) * float(r) / 2)
+    n = np.arange(1, k)
+    qn = np.array(_q_numbers(k, k))[n]
+    wrap_x = np.prod(rep.x_minus[n - 1, n] / qn)
+    wrap_y = np.prod(rep.y_plus[n, n - 1] / qn)
+    # half_q[e] = exp(i pi e / k) = q^{e/2} for e = 0..2k-1
+    half_q = _phase_array(np.arange(2 * k), 2 * k)
+    n1, n2 = np.divmod(np.arange(k * k), k)
+    m1, m2 = (n1 + 1) % k, (n2 - 1) % k
+    weight_y = np.where(n2 > 0, half_q[-a * (n1 - n2) % (2 * k)], half * wrap_y)
+    weight_x = np.where(n1 < k - 1, half_q[a * (m1 + m2) % (2 * k)], half * wrap_x)
+    return m1 * k + m2, weight_x * weight_y
 
 
 def build_vra_quonic(k: int, r: Real = 0, a: int = 0) -> np.ndarray:
@@ -136,24 +175,29 @@ def build_vra_quonic(k: int, r: Real = 0, a: int = 0) -> np.ndarray:
     s_y = y_- q^{-a(N_x-N_y)/2}  +  e^{i phi_r/2} (y_+)^{k-1} / [k-1]_q!
 
     with phi_r = pi (k-1) r.  Satisfies (v_ra)^k = e^{i pi (k-1)(r+a)} I.
+    The dense matrix, one entry per column, of the monomial form that the
+    rest of this module uses.
     """
-    rep = quon_rep(k)
-    a = a % k
-    phi = pi * (k - 1) * float(r)
-    fact = q_factorial(k - 1, k)
-    eye = np.eye(k)
-    wrap_x = np.linalg.matrix_power(rep.x_minus, k - 1) / fact
-    wrap_y = np.linalg.matrix_power(rep.y_plus, k - 1) / fact
-    s_x = (_half_q_diag(k, lambda n1, n2: a * (n1 + n2)) @ np.kron(rep.x_plus, eye)
-           + cmath.exp(1j * phi / 2) * np.kron(wrap_x, eye))
-    s_y = (np.kron(eye, rep.y_minus) @ _half_q_diag(k, lambda n1, n2: -a * (n1 - n2))
-           + cmath.exp(1j * phi / 2) * np.kron(eye, wrap_y))
-    return s_x @ s_y
+    dest, weight = _vra_monomial(k, r, a)
+    out = np.zeros((k * k, k * k), dtype=complex)
+    out[dest, np.arange(k * k)] = weight
+    return out
 
 
 def vra_tensor_power_phase(k: int, r: Real, a: int) -> complex:
     """Scalar of (v_ra)^k = e^{i pi (k-1)(r+a)} I on the full tensor space."""
     return cmath.exp(1j * pi * (k - 1) * (float(r) + (a % k)))
+
+
+def _spin_indices(k: int) -> np.ndarray:
+    """Flat indices of |k-1-n, n) = |j+m, j-m) for n = j - m = 0..k-1."""
+    n = np.arange(k)
+    return tensor_index(k, k - 1 - n, n)
+
+
+def _check_leak(leak: float) -> None:
+    if leak > 1e-12:
+        raise ValueError(f"subspace is not stable: leakage {leak:.3e}")
 
 
 def restrict_to_j(op: np.ndarray, j: Real) -> np.ndarray:
@@ -167,14 +211,31 @@ def restrict_to_j(op: np.ndarray, j: Real) -> np.ndarray:
     k = two_j + 1
     if op.shape != (k * k, k * k):
         raise ValueError(f"operator must act on a {k * k}-dimensional space")
-    flat = [tensor_index(k, k - 1 - n, n) for n in range(k)]
+    flat = _spin_indices(k)
     keep = np.zeros(k * k, dtype=bool)
     keep[flat] = True
-    sub = op[np.ix_(flat, flat)]
-    leak = float(np.max(np.abs(op[~keep][:, flat]))) if k * k > k else 0.0
-    if leak > 1e-12:
-        raise ValueError(f"subspace is not stable: leakage {leak:.3e}")
-    return sub
+    _check_leak(float(np.max(np.abs(op[~keep][:, flat]))))
+    return op[np.ix_(flat, flat)]
+
+
+def _restrict_monomial(dest: np.ndarray, weight: np.ndarray, j: Real) -> np.ndarray:
+    """:func:`restrict_to_j` of the monomial |i) -> weight[i] |dest[i]),
+    read from its k entries on the spin-j subspace."""
+    k = _two_j(j) + 1
+    flat = _spin_indices(k)
+    n1, n2 = np.divmod(dest[flat], k)
+    w = weight[flat]
+    inside = n1 + n2 == k - 1
+    _check_leak(float(np.max(np.abs(w[~inside]), initial=0.0)))
+    # |k-1-n, n) is subspace index n = n2
+    out = np.zeros((k, k), dtype=complex)
+    out[n2[inside], np.flatnonzero(inside)] = w[inside]
+    return out
+
+
+def _vra_block(k: int, r: Real = 0, a: int = 0) -> np.ndarray:
+    """v_ra on the spin-j subspace, j = (k-1)/2: a k x k matrix."""
+    return _restrict_monomial(*_vra_monomial(k, r, a), Fraction(k - 1, 2))
 
 
 @dataclass(frozen=True)
@@ -192,19 +253,16 @@ def su2_generators(j: Real, r: Real = 0, a: int = 0) -> Su2Triple:
     """j_+ = h v, j_- = v^dag h, j_z = (h^2 - v^dag h^2 v)/2 on the spin-j space."""
     two_j = _two_j(j)
     k = two_j + 1
-    h = restrict_to_j(build_h(k), j)
-    v = restrict_to_j(build_vra_quonic(k, r, a), j)
-    h2 = h @ h
-    return Su2Triple(h @ v, v.conj().T @ h, (h2 - v.conj().T @ h2 @ v) / 2, r, a % k)
+    h = build_h(k)[_spin_indices(k)]
+    v = _vra_block(k, r, a)
+    h2 = h * h
+    v_dag = v.conj().T
+    return Su2Triple(h[:, None] * v, v_dag * h, (np.diag(h2) - v_dag @ (h2[:, None] * v)) / 2,
+                     r, a % k)
 
 
-def _q(d: int, e) -> complex:
-    """q**e for q = exp(2*pi*i/d): an exact phase for rational e, else cmath."""
-    if is_rational(e):
-        # e = u/v is the turn u/(dv), evaluated on integers
-        e = Fraction(e)
-        n = d * e.denominator
-        return _phase_complex(e.numerator % n, n)
+def _q(d: int, e: float) -> complex:
+    """q**e for q = exp(2*pi*i/d) and a float exponent e."""
     return cmath.exp(2j * pi * e / d)
 
 
@@ -219,15 +277,24 @@ def eigenbasis(j: Real, r: Real = 0, a: int = 0) -> list[np.ndarray]:
     two_j = _two_j(j)
     d = two_j + 1
     a = a % d
-    rr = as_fraction(r) if is_rational(r) else float(r)
+    if is_rational(r):
+        # 4 rd times the exponent above, over 4 rd d, with r = rn/rd,
+        # j+m = 2j-n, j-m+1 = n+1 and jm = (2j)(2j-2n)/4
+        r = as_fraction(r)
+        rn, rd = r.numerator, r.denominator
+        modulus = 4 * rd * d
+        lead = [2 * rd * (two_j - n) * (n + 1) * a - rn * two_j * (two_j - 2 * n)
+                for n in range(d)]
+        phase = lambda n, alpha: _phase_complex(
+            (lead[n] + 4 * rd * (two_j - n) * alpha) % modulus, modulus)
+    else:
+        rr = float(r)
+        phase = lambda n, alpha: _q(d, (two_j - n) * (n + 1) * a / 2
+                                    - two_j * (two_j - 2 * n) / 4 * rr
+                                    + (two_j - n) * alpha)
     out = []
     for alpha in range(d):
-        vec = np.zeros(d, dtype=complex)
-        for n in range(d):
-            # j+m = 2j-n, j-m+1 = n+1, jm = (2j)(2j-2n)/4
-            vec[n] = _q(d, Fraction((two_j - n) * (n + 1) * a, 2)
-                        - Fraction(two_j * (two_j - 2 * n), 4) * rr
-                        + (two_j - n) * alpha)
+        vec = np.array([phase(n, alpha) for n in range(d)], dtype=complex)
         out.append(vec / sqrt(d))
     return out
 
@@ -236,8 +303,13 @@ def eigenvalue_vra(j: Real, r: Real, a: int, alpha: int) -> complex:
     """Eigenvalue q^{j(r+a) - alpha} of v_ra on eigenvector alpha."""
     two_j = _two_j(j)
     d = two_j + 1
-    rr = as_fraction(r) if is_rational(r) else float(r)
-    return _q(d, Fraction(two_j, 2) * (rr + (a % d)) - alpha)
+    if is_rational(r):
+        # 2 rd times the exponent, over 2 rd d, with r = rn/rd
+        r = as_fraction(r)
+        modulus = 2 * r.denominator * d
+        return _phase_complex((two_j * (r.numerator + (a % d) * r.denominator)
+                               - 2 * r.denominator * alpha) % modulus, modulus)
+    return _q(d, two_j / 2 * (float(r) + (a % d)) - alpha)
 
 
 def overlap_same_a(j: Real, r: Real, s: Real, a: int, alpha: int, beta: int) -> complex:
@@ -257,7 +329,7 @@ def overlap_same_a(j: Real, r: Real, s: Real, a: int, alpha: int, beta: int) -> 
         ratio = d * (-1) ** (two_j * t)
     else:
         ratio = cmath.sin(pi * x).real / den
-    return _q(d, Fraction(two_j, 2) * (beta - alpha)) * ratio / d
+    return _phase_complex(two_j * (beta - alpha) % (2 * d), 2 * d) * ratio / d
 
 
 def rotation_conjugation_residual(j: Real, r: Real, a: int, p: int) -> float:
@@ -268,7 +340,7 @@ def rotation_conjugation_residual(j: Real, r: Real, a: int, p: int) -> float:
     """
     two_j = _two_j(j)
     d = two_j + 1
-    v = restrict_to_j(build_vra_quonic(d, r, a), j)
+    v = _vra_block(d, r, a)
     # component n corresponds to m = j - n
     diag = np.array([cmath.exp(-2j * pi * p * (two_j - 2 * n) / (2 * d))
                      for n in range(d)])

@@ -336,16 +336,24 @@ class _Sweep:
 
     @_invariant("su2.vra_kth_power", 1e-12)
     def _vra_kth_power(self):
+        # v_ra is a weighted monomial: its k-th power is the k-fold
+        # composite of the map, times the product of the weights met on
+        # the way; it must be the identity map times the global phase
         for k, r, a in _dra_cases(self.upto(8), (0, 1, Fraction(1, 3))):
-            v = quon.build_vra_quonic(k, r, a)
-            got = np.linalg.matrix_power(v, k)
-            want = quon.vra_tensor_power_phase(k, r, a) * np.eye(k * k)
-            yield float(np.max(np.abs(got - want)))
+            dest, weight = quon._vra_monomial(k, r, a)
+            start = np.arange(k * k)
+            at, product = start, np.ones(k * k, dtype=complex)
+            for _ in range(k):
+                product = product * weight[at]
+                at = dest[at]
+            want = quon.vra_tensor_power_phase(k, r, a)
+            yield (float(np.max(np.abs(product - want))) if np.array_equal(at, start)
+                   else float("inf"))
 
     @_invariant("su2.oracle_equivalence", 1e-12)
     def _oracle_equivalence(self):
         for k, r, a in _dra_cases(self.upto(8), (0, 1, Fraction(1, 3))):
-            got = quon.restrict_to_j(quon.build_vra_quonic(k, r, a), Fraction(k - 1, 2))
+            got = quon._vra_block(k, r, a)
             want = weyl.vra_matrix(k, r, a).to_complex()
             yield float(np.max(np.abs(got - want)))
 
@@ -365,7 +373,7 @@ class _Sweep:
     def _eigenvalue_equation(self):
         for k, r, a in _dra_cases(self.upto(8), (0, 1, Fraction(1, 3))):
             j = Fraction(k - 1, 2)
-            v = quon.restrict_to_j(quon.build_vra_quonic(k, r, a), j)
+            v = quon._vra_block(k, r, a)
             for alpha, vec in enumerate(quon.eigenbasis(j, r, a)):
                 lam = quon.eigenvalue_vra(j, r, a, alpha)
                 yield float(np.max(np.abs(v @ vec - lam * vec)))

@@ -67,8 +67,9 @@ def _triangle_ok(two_j1: int, two_j2: int, two_j3: int) -> bool:
     return (abs(two_j1 - two_j2) <= two_j3 <= two_j1 + two_j2)
 
 
-def _lfact(n: int) -> float:
-    return lgamma(n + 1)
+def _log_factorials(n: int) -> list[float]:
+    """log(k!) = lgamma(k + 1) for k = 0..n."""
+    return [lgamma(k + 1) for k in range(n + 1)]
 
 
 def wigner_3jm(two_j1: int, two_j2: int, two_j3: int,
@@ -82,16 +83,26 @@ def wigner_3jm(two_j1: int, two_j2: int, two_j3: int,
         _check_pair(tj, tm)
     if two_m1 + two_m2 + two_m3 != 0 or not _triangle_ok(two_j1, two_j2, two_j3):
         return 0.0
+    lf = _log_factorials((two_j1 + two_j2 + two_j3) // 2 + 1)
+    return _racah(two_j1, two_j2, two_j3, two_m1, two_m2, lf)
+
+
+def _racah(two_j1: int, two_j2: int, two_j3: int, two_m1: int, two_m2: int,
+           lf: list[float]) -> float:
+    """The Racah single sum of wigner_3jm, with m3 = -(m1 + m2), for
+    arguments that pass its selection rules; lf[n] = log(n!) for
+    n = 0..j1+j2+j3+1."""
+    two_m3 = -(two_m1 + two_m2)
     # everything below is an ordinary integer once the selection rules hold
     jjj = (two_j1 + two_j2 + two_j3) // 2
     a1 = (two_j1 + two_j2 - two_j3) // 2
     a2 = (two_j1 - two_j2 + two_j3) // 2
     a3 = (-two_j1 + two_j2 + two_j3) // 2
-    log_delta = _lfact(a1) + _lfact(a2) + _lfact(a3) - _lfact(jjj + 1)
+    log_delta = lf[a1] + lf[a2] + lf[a3] - lf[jjj + 1]
     log_norm = 0.5 * (log_delta
-                      + _lfact((two_j1 + two_m1) // 2) + _lfact((two_j1 - two_m1) // 2)
-                      + _lfact((two_j2 + two_m2) // 2) + _lfact((two_j2 - two_m2) // 2)
-                      + _lfact((two_j3 + two_m3) // 2) + _lfact((two_j3 - two_m3) // 2))
+                      + lf[(two_j1 + two_m1) // 2] + lf[(two_j1 - two_m1) // 2]
+                      + lf[(two_j2 + two_m2) // 2] + lf[(two_j2 - two_m2) // 2]
+                      + lf[(two_j3 + two_m3) // 2] + lf[(two_j3 - two_m3) // 2])
     b1 = (two_j1 - two_m1) // 2          # j1 - m1
     b2 = (two_j2 + two_m2) // 2          # j2 + m2
     c1 = (two_j3 - two_j2 + two_m1) // 2  # j3 - j2 + m1
@@ -100,8 +111,8 @@ def wigner_3jm(two_j1: int, two_j2: int, two_j3: int,
     t_max = min(a1, b1, b2)
     total = 0.0
     for t in range(t_min, t_max + 1):
-        log_term = (_lfact(t) + _lfact(a1 - t) + _lfact(b1 - t) + _lfact(b2 - t)
-                    + _lfact(c1 + t) + _lfact(c2 + t))
+        log_term = (lf[t] + lf[a1 - t] + lf[b1 - t] + lf[b2 - t]
+                    + lf[c1 + t] + lf[c2 + t])
         total += (-1) ** t * exp(log_norm - log_term)
     sign = (-1) ** ((two_j1 - two_j2 - two_m3) // 2)
     return sign * total
@@ -122,15 +133,17 @@ def _m_range(two_j: int) -> Iterable[int]:
 
 
 def _threejm_tensor(two_j1: int, two_j2: int, two_j3: int) -> np.ndarray:
-    """Every 3-jm symbol of one triple, at [j1+m1, j2+m2, j3+m3]: d1*d2
-    Racah sums, the rest of the (2j1+1, 2j2+1, 2j3+1) array zero."""
+    """Every 3-jm symbol of a triple that obeys the triangle rule, at
+    [j1+m1, j2+m2, j3+m3]: d1*d2 Racah sums over one log-factorial table,
+    the rest of the (2j1+1, 2j2+1, 2j3+1) array zero."""
+    lf = _log_factorials((two_j1 + two_j2 + two_j3) // 2 + 1)
     out = np.zeros((two_j1 + 1, two_j2 + 1, two_j3 + 1))
     for two_m1 in _m_range(two_j1):
         for two_m2 in _m_range(two_j2):
             two_m3 = -(two_m1 + two_m2)
             if abs(two_m3) <= two_j3:
                 out[(two_j1 + two_m1) // 2, (two_j2 + two_m2) // 2, (two_j3 + two_m3) // 2] = (
-                    wigner_3jm(two_j1, two_j2, two_j3, two_m1, two_m2, two_m3))
+                    _racah(two_j1, two_j2, two_j3, two_m1, two_m2, lf))
     return out
 
 

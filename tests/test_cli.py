@@ -382,7 +382,8 @@ def test_transform_dimension_bound(tmp_path, capsys):
     code, out, err = run(capsys, "transform", "--d", "1000001",
                          "--in", str(tmp_path / "missing.csv"))
     assert code == 2 and out == ""
-    assert "would emit 1000001 matrix entries; the limit is 1000000" in err
+    assert "would emit 1000001 vector entries; the limit is 1000000" in err
+    assert "matrix entries" not in err
     assert "cannot read" not in err
     path = tmp_path / "x.csv"
     path.write_text("\n".join(["1,0"] + ["0,0"] * 4095))

@@ -11,8 +11,8 @@ from mubkit.quon import (q_number, q_factorial, quon_rep, tensor_index,
                          eigenvalue_vra, overlap_same_a,
                          rotation_conjugation_residual)
 from mubkit import quon
-from mubkit.phases import is_rational, q_power
-from mubkit.weyl import vra_matrix
+from mubkit.phases import q_power
+from mubkit.weyl import vra_matrix, vra_power_phase
 from mubkit.qdft import hra_matrix
 
 
@@ -72,11 +72,13 @@ def test_quon_algebra_relations(k):
 
 
 def test_build_h_entries():
+    # build_h gives the diagonal of h, indexed like the tensor space
     k = 3
     h = build_h(k)
-    assert h[tensor_index(k, 0, 2), tensor_index(k, 0, 2)] == 0
-    assert h[tensor_index(k, 1, 0), tensor_index(k, 1, 0)] == 1
-    assert h[tensor_index(k, 2, 1), tensor_index(k, 2, 1)] == pytest.approx(2.0)
+    assert h.shape == (k * k,)
+    assert h[tensor_index(k, 0, 2)] == 0
+    assert h[tensor_index(k, 1, 0)] == 1
+    assert h[tensor_index(k, 2, 1)] == pytest.approx(2.0)
 
 
 def test_vra_action_table_k2_trivial_parameters():
@@ -121,6 +123,40 @@ def test_vra_kth_power_is_global_phase(k, r, a):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def half_q_diag(k, weight):
+    """diag over |n1,n2) of exp(i pi weight(n1, n2) / k)."""
+    return np.diag([cmath.exp(1j * pi * weight(n1, n2) / k)
+                    for n1 in range(k) for n2 in range(k)])
+
+
+def dense_vra(k, r=0, a=0):
+    """v_ra = s_x s_y from the docstring formulas as dense k^2 x k^2
+    products: four Kronecker products, matrix powers of the ladders over
+    [k-1]_q! (which overflows near k = 200), and one matmul."""
+    rep = quon_rep(k)
+    a = a % k
+    phi = pi * (k - 1) * float(r)
+    fact = q_factorial(k - 1, k)
+    eye = np.eye(k)
+    wrap_x = np.linalg.matrix_power(rep.x_minus, k - 1) / fact
+    wrap_y = np.linalg.matrix_power(rep.y_plus, k - 1) / fact
+    s_x = (half_q_diag(k, lambda n1, n2: a * (n1 + n2)) @ np.kron(rep.x_plus, eye)
+           + cmath.exp(1j * phi / 2) * np.kron(wrap_x, eye))
+    s_y = (np.kron(eye, rep.y_minus) @ half_q_diag(k, lambda n1, n2: -a * (n1 - n2))
+           + cmath.exp(1j * phi / 2) * np.kron(eye, wrap_y))
+    return s_x @ s_y
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_scatter_build_matches_dense_kron_product(k):
+    # measured worst entry difference over this grid: 4.6e-15
+    for r in (0, 1, Fraction(1, 3), Fraction(-7, 4), 0.37, -1.25):
+        for a in range(k):
+            got = build_vra_quonic(k, r, a)
+            assert got.shape == (k * k, k * k)
+            assert np.max(np.abs(got - dense_vra(k, r, a))) < 1e-13
+
+
 def test_vra_kth_power_matches_printed_case():
     # at k=3, r=1, a=2 the constant reduces to e^{i phi_r} = e^{2 i pi} = 1
     v = build_vra_quonic(3, 1, 2)
@@ -130,7 +166,7 @@ def test_vra_kth_power_matches_printed_case():
 def test_restrict_h_gives_ladder_weights():
     k = 4
     j = j_of(k)
-    h = restrict_to_j(build_h(k), j)
+    h = restrict_to_j(np.diag(build_h(k)), j)
     # diagonal sqrt((j+m)(j-m+1)) with m = j - n
     for n in range(k):
         m = float(j) - n
@@ -148,6 +184,23 @@ def test_restrict_detects_leakage():
     leaky = np.kron(rep.x_plus, np.eye(k))  # raises n1 only, leaves the subspace
     with pytest.raises(ValueError, match="not stable"):
         restrict_to_j(leaky, j_of(k))
+
+
+def test_monomial_restriction_detects_leakage():
+    # x_+ (x) I as a monomial: |n1, n2) -> |n1+1, n2), and 0 from n1 = k-1
+    k = 3
+    n1, n2 = np.divmod(np.arange(k * k), k)
+    dest = tensor_index(k, np.minimum(n1 + 1, k - 1), n2)
+    weight = np.where(n1 < k - 1, 1.0 + 0j, 0j)
+    with pytest.raises(ValueError, match="not stable"):
+        quon._restrict_monomial(dest, weight, j_of(k))
+
+
+def test_monomial_restriction_equals_dense_restriction():
+    for k in range(2, 9):
+        for r, a in ((0, 0), (Fraction(1, 3), k - 1), (0.37, k // 2)):
+            dense = restrict_to_j(build_vra_quonic(k, r, a), j_of(k))
+            assert np.array_equal(quon._vra_block(k, r, a), dense)
 
 
 def test_restricted_v_equals_direct_2x2():
@@ -313,27 +366,74 @@ def test_invalid_spin_rejected():
         q_number(1, 1)
 
 
-def q_through_exact_phase(d, e):
-    """_q as it was, through an ExactPhase for rational e."""
-    if is_rational(e):
-        return q_power(d, e).to_complex()
-    return cmath.exp(2j * pi * e / d)
+def exact_phase_route(d, e):
+    """q**e for rational e through ExactPhase, one entry at a time."""
+    return q_power(d, e).to_complex()
 
 
-@pytest.mark.parametrize("r", [0, Fraction(1, 3), Fraction(2, 5), Fraction(3, 2)])
-def test_integer_phases_are_bit_identical_to_exact_phase_route(r, monkeypatch):
-    def both_routes(f, *args):
-        new = f(*args)
-        with monkeypatch.context() as m:
-            m.setattr(quon, "_q", q_through_exact_phase)
-            old = f(*args)
-        return np.asarray(new), np.asarray(old)
-
-    for d in range(2, 10):
+@pytest.mark.parametrize("r", [0, Fraction(1, 3), Fraction(2, 5), Fraction(3, 2), 1,
+                               Fraction(-7, 4)])
+def test_integer_phases_are_bit_identical_to_exact_phase_route(r):
+    # the reference evaluates the documented exponents directly:
+    # component n = j - m of vector alpha is q^{(j+m)(j-m+1)a/2 - jmr + (j+m)alpha},
+    # and the eigenvalue is q^{j(r+a) - alpha}; signed zeros count
+    for d in range(2, 40):
         j = j_of(d)
-        for a in (0, 1, d - 1):
-            new, old = both_routes(eigenbasis, j, r, a)
-            assert new.tobytes() == old.tobytes()
+        for a in (0, 1, d // 2, d - 1):
+            # m = j - n: j+m = d-1-n and j-m+1 = n+1
+            lead = [(d - 1 - n) * (n + 1) * Fraction(a, 2) - j * (j - n) * r for n in range(d)]
+            want = np.array([[exact_phase_route(d, lead[n] + (d - 1 - n) * alpha)
+                              for n in range(d)] for alpha in range(d)]) / sqrt(d)
+            assert np.asarray(eigenbasis(j, r, a)).tobytes() == want.tobytes()
             for alpha in range(d):
-                new, old = both_routes(eigenvalue_vra, j, r, a, alpha)
-                assert new.tobytes() == old.tobytes()
+                want = np.asarray(exact_phase_route(d, j * (r + a) - alpha))
+                assert np.asarray(eigenvalue_vra(j, r, a, alpha)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [255, 256])
+@pytest.mark.parametrize("r", [Fraction(1, 3), 0.37])
+def test_su2_oracle_at_k_in_the_hundreds(k, r):
+    # measured at k = 255 and 256, a = 5: closure and Casimir residuals
+    # up to 4.3e-14 j(j+1), block against weyl up to 4.2e-14, k-th power
+    # against the exact phase up to 2.8e-13, weights unimodular to 7.5e-15
+    a = 5
+    j = j_of(k)
+    jj = float(j) * (float(j) + 1)
+    t = su2_generators(j, r, a)
+    comm = lambda x, y: x @ y - y @ x
+    assert np.max(np.abs(comm(t.j_z, t.j_plus) - t.j_plus)) <= 1e-12 * jj
+    assert np.max(np.abs(comm(t.j_z, t.j_minus) + t.j_minus)) <= 1e-12 * jj
+    assert np.max(np.abs(comm(t.j_plus, t.j_minus) - 2 * t.j_z)) <= 1e-12 * jj
+    casimir = (t.j_plus @ t.j_minus + t.j_minus @ t.j_plus) / 2 + t.j_z @ t.j_z
+    assert np.max(np.abs(casimir - jj * np.eye(k))) <= 1e-12 * jj
+    # a decimal r is compared with the exact matrix at the same binary value
+    want = vra_matrix(k, Fraction(r), a).to_complex()
+    assert np.max(np.abs(quon._vra_block(k, r, a) - want)) < 1e-12
+    # [k-1]_q! overflows here; the wrap weights stay finite and unimodular
+    assert not np.isfinite(q_factorial(k - 1, k))
+    dest, weight = quon._vra_monomial(k, r, a)
+    assert np.all(np.isfinite(weight))
+    assert np.max(np.abs(np.abs(weight) - 1)) < 1e-12
+    # the k-fold composite of the map is the identity times the global phase
+    start = np.arange(k * k)
+    at, product = start, np.ones(k * k, dtype=complex)
+    for _ in range(k):
+        product = product * weight[at]
+        at = dest[at]
+    assert np.array_equal(at, start)
+    phase = vra_power_phase(k, Fraction(r), a).to_complex()
+    assert np.max(np.abs(product - phase)) < 1e-11
+
+
+def test_quon_relations_at_k_256():
+    # measured residual 1.7e-12 against generator entries up to k/pi
+    k = 256
+    q = cmath.exp(2j * pi / k)
+    rep = quon_rep(k)
+    for plus, minus, num in ((rep.x_plus, rep.x_minus, rep.n_x),
+                             (rep.y_plus, rep.y_minus, rep.n_y)):
+        assert np.max(np.abs(minus @ plus - q * plus @ minus - np.eye(k))) < 1e-11
+        assert np.max(np.abs(num @ plus - plus @ num - plus)) < 1e-11
+        assert np.max(np.abs(num @ minus - minus @ num + minus)) < 1e-11
+        assert not np.any(np.linalg.matrix_power(plus, k))
+        assert not np.any(np.linalg.matrix_power(minus, k))

@@ -1,5 +1,5 @@
 import itertools
-from math import sqrt
+from math import exp, lgamma, sqrt
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from sympy import N as sympy_n
 from sympy.physics.quantum.cg import CG
 from sympy.physics.wigner import wigner_3j
 
-from mubkit import verify
+from mubkit import verify, wigner
 from mubkit.phases import _phase_complex
 from mubkit.wigner import (wigner_3jm, clebsch_gordan, cg_alpha, cg_alpha_table, fbar,
                            fbar_table, basis_change_coeff, fbar_conjugation_factor)
@@ -279,6 +279,49 @@ def test_tables_are_zero_outside_the_triangle_rule():
         for table in (fbar_table(*triple), cg_alpha_table(*triple)):
             assert table.shape == tuple(tj + 1 for tj in triple)
             assert not table.any()
+
+
+def racah_reference(tj1, tj2, tj3, tm1, tm2, tm3):
+    """The Racah single sum with one lgamma call per factorial, added in
+    the order of wigner_3jm; for arguments that pass its selection rules."""
+    lf = lambda n: lgamma(n + 1)
+    jjj = (tj1 + tj2 + tj3) // 2
+    a1, a2, a3 = (tj1 + tj2 - tj3) // 2, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2
+    log_delta = lf(a1) + lf(a2) + lf(a3) - lf(jjj + 1)
+    log_norm = 0.5 * (log_delta + lf((tj1 + tm1) // 2) + lf((tj1 - tm1) // 2)
+                      + lf((tj2 + tm2) // 2) + lf((tj2 - tm2) // 2)
+                      + lf((tj3 + tm3) // 2) + lf((tj3 - tm3) // 2))
+    b1, b2 = (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    c1, c2 = (tj3 - tj2 + tm1) // 2, (tj3 - tj1 - tm2) // 2
+    total = 0.0
+    for t in range(max(0, -c1, -c2), min(a1, b1, b2) + 1):
+        log_term = lf(t) + lf(a1 - t) + lf(b1 - t) + lf(b2 - t) + lf(c1 + t) + lf(c2 + t)
+        total += (-1) ** t * exp(log_norm - log_term)
+    return (-1) ** ((tj1 - tj2 - tm3) // 2) * total
+
+
+def test_magnetic_tensors_are_bit_identical_to_the_scalars():
+    # the tensors share one log-factorial table per triple; each entry must
+    # still be the scalar symbol bit for bit, for every triple with 2j <= 8
+    for tj1, tj2, tj3 in triples(8):
+        want_3jm = np.zeros((tj1 + 1, tj2 + 1, tj3 + 1))
+        want_cg = np.zeros_like(want_3jm)
+        for tm1, tm2, tm3 in itertools.product(range(-tj1, tj1 + 1, 2), range(-tj2, tj2 + 1, 2),
+                                               range(-tj3, tj3 + 1, 2)):
+            at = ((tj1 + tm1) // 2, (tj2 + tm2) // 2, (tj3 + tm3) // 2)
+            want_3jm[at] = wigner_3jm(tj1, tj2, tj3, tm1, tm2, tm3)
+            want_cg[at] = clebsch_gordan(tj1, tm1, tj2, tm2, tj3, tm3)
+        assert wigner._threejm_tensor(tj1, tj2, tj3).tobytes() == want_3jm.tobytes()
+        # equal values; a zero entry of the CG tensor may carry the sign
+        # of its factor (-1)^(j1-j2+m3)
+        assert np.array_equal(wigner._cg_tensor(tj1, tj2, tj3), want_cg)
+    # and at the f-bar bound the table entries are the per-factorial sums
+    for triple in ((40, 40, 40), (40, 31, 17)):
+        tensor = wigner._threejm_tensor(*triple)
+        for index in zip(*np.nonzero(tensor)):
+            tm1, tm2, tm3 = (2 * int(i) - tj for i, tj in zip(index, triple))
+            want = racah_reference(*triple, tm1, tm2, tm3)
+            assert np.float64(want).tobytes() == tensor[index].tobytes()
 
 
 @pytest.mark.parametrize("spins,error", [((1.0, 1, 2), TypeError), ((2, 2, 2.5), TypeError),
