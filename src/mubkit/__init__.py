@@ -21,9 +21,9 @@ from .weyl import (x_matrix, z_matrix, pr_matrix, vra_matrix, vra_band_matrix,
                    vra_power_phase, u_ab, weyl_relation_check,
                    pauli_trace_orthogonality, pauli_compose, pauli_element_matrix,
                    t_matrix, sine_product_check, sine_commutator_check)
-from .quon import (quon_rep, build_vra_quonic, vra_tensor_power_phase,
-                   restrict_to_j, su2_generators, eigenbasis, eigenvalue_vra,
-                   overlap_same_a, rotation_conjugation_residual)
+from .quon import (quon_rep, build_vra_quonic, restrict_to_j, su2_generators,
+                   eigenbasis, eigenvalue_vra, overlap_same_a,
+                   rotation_conjugation_residual)
 from .mub import (is_prime, mub_prime, mub_three, unbiasedness, orthonormality,
                   max_pairwise_deviation, gauss_inner_product, product_hadamard,
                   mub_dim4, entanglement_det, commuting_classes, sl_partition_check)

@@ -397,6 +397,9 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.d_max > MAX_VERIFY_D:
         raise UsageError(f"--d-max {args.d_max} exceeds {MAX_VERIFY_D}: beyond it only "
                          f"the qdft suite grows, and its run time grows as d_max^3")
+    if args.seed < 0:
+        raise UsageError(f"--seed {args.seed} is negative; the suites draw their "
+                         f"random cases from a seed >= 0")
     payload = _report_payload(run_suite(args.suite, d_max=args.d_max, seed=args.seed))
     params = {"suite": args.suite, "d_max": args.d_max, "seed": args.seed}
     return document("verify", params, payload), 0 if payload["passed"] else 1
@@ -456,7 +459,11 @@ def cmd_transform(args) -> tuple[dict, int]:
 
 def cmd_fbar(args) -> tuple[dict, int]:
     two_js = parse_half_integers(args.j)
-    alphas = [int(a) for a in args.alpha.split(",")]
+    try:
+        alphas = [int(a) for a in args.alpha.split(",")]
+    except ValueError:
+        raise UsageError(f"--alpha {args.alpha!r} is not a list of integers; "
+                         f"give three, e.g. 0,1,2")
     if len(two_js) != 3 or len(alphas) != 3:
         raise UsageError("--j and --alpha each need exactly three entries")
     if max(two_js) > MAX_FBAR_TWO_J:

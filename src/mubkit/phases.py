@@ -75,10 +75,14 @@ def exponent_dtype(modulus: int):
     return np.int64 if modulus < _INT64_MODULUS_LIMIT else object
 
 
-def _phase_complex(e: int, n: int) -> complex:
-    """exp(2*pi*i*e/n) for 0 <= e < n, exact on quarter turns."""
+def _phase_complex(e: Union[int, float], n: int) -> complex:
+    """exp(2*pi*i*e/n) for 0 <= e < n, exact on quarter turns.
+
+    e is an integer, or a float reduced mod n, which can round up to n;
+    so the quarter index is taken mod 4, as in _phase_array.
+    """
     if (4 * e) % n == 0:
-        return _QUARTER[4 * e // n]
+        return _QUARTER[int(4 * e // n) % 4]
     angle = 2.0 * pi * (e / n)
     return complex(cos(angle), sin(angle))
 

@@ -4,10 +4,11 @@ Two commuting q-deformed oscillator algebras (q a primitive k-th root of
 unity, nilpotent ladder operators) act on a k^2-dimensional tensor
 space.  From them one assembles a diagonal positive operator h and a
 unitary cyclic operator v_ra; their products give a polar decomposition
-of the su(2) ladder operators on the spin-j subspace (k = 2j+1).
-Everything here is built from the oscillator generators, so it serves as
-an independent cross-check of the direct matrix constructions in
-:mod:`mubkit.weyl` and :mod:`mubkit.qdft`.
+of the su(2) ladder operators on the spin-j subspace (k = 2j+1).  v_ra,
+h and the su(2) triple come from the oscillator generators alone, an
+independent cross-check of :mod:`mubkit.weyl` and :mod:`mubkit.qdft`.
+The common eigenvectors are not an oscillator result: they are the
+columns of H_ra from :mod:`mubkit.qdft`, with eigenvalues Lambda_ra.
 
 v_ra = s_x s_y is a weighted monomial: it sends each |n1, n2) to the one
 state |n1+1, n2-1) (indices mod k) with one complex weight, read from the
@@ -26,12 +27,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi, sqrt
+from math import pi
 from typing import Union
 
 import numpy as np
 
-from .phases import _phase_array, _phase_complex, as_fraction, is_rational
+from . import qdft
+from .phases import _phase_array, _phase_complex, is_rational
 
 Real = Union[int, Fraction, float]
 
@@ -39,12 +41,10 @@ __all__ = [
     "QuonRep",
     "Su2Triple",
     "q_number",
-    "q_factorial",
     "quon_rep",
     "tensor_index",
     "build_h",
     "build_vra_quonic",
-    "vra_tensor_power_phase",
     "restrict_to_j",
     "su2_generators",
     "eigenbasis",
@@ -55,7 +55,7 @@ __all__ = [
 
 
 def _two_j(j: Real) -> int:
-    f = j if is_rational(j) else Fraction(j)
+    f = j if isinstance(j, Fraction) else Fraction(j)
     if f.denominator not in (1, 2) or f.numerator <= 0:
         raise ValueError(f"j must be a positive half-integer, got {j}")
     return 2 * f.numerator // f.denominator
@@ -80,14 +80,6 @@ def q_number(n: int, k: int) -> complex:
     if n < 0:
         raise ValueError("n must be non-negative")
     return _q_numbers(n + 1, k)[n]
-
-
-def q_factorial(n: int, k: int) -> complex:
-    """[n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    out = 1 + 0j
-    for i in range(1, n + 1):
-        out *= q_number(i, k)
-    return out
 
 
 @dataclass(frozen=True)
@@ -184,11 +176,6 @@ def build_vra_quonic(k: int, r: Real = 0, a: int = 0) -> np.ndarray:
     return out
 
 
-def vra_tensor_power_phase(k: int, r: Real, a: int) -> complex:
-    """Scalar of (v_ra)^k = e^{i pi (k-1)(r+a)} I on the full tensor space."""
-    return cmath.exp(1j * pi * (k - 1) * (float(r) + (a % k)))
-
-
 def _spin_indices(k: int) -> np.ndarray:
     """Flat indices of |k-1-n, n) = |j+m, j-m) for n = j - m = 0..k-1."""
     n = np.arange(k)
@@ -261,55 +248,29 @@ def su2_generators(j: Real, r: Real = 0, a: int = 0) -> Su2Triple:
                      r, a % k)
 
 
-def _q(d: int, e: float) -> complex:
-    """q**e for q = exp(2*pi*i/d) and a float exponent e."""
-    return cmath.exp(2j * pi * e / d)
-
-
 def eigenbasis(j: Real, r: Real = 0, a: int = 0) -> list[np.ndarray]:
-    """Common eigenvectors of the Casimir and v_ra, in computational order.
+    """Common eigenvectors of the Casimir and v_ra: the columns of
+    :func:`mubkit.qdft.hra_matrix` at d = 2j+1, as dense vectors.
 
-    Vector alpha has m-component q^{(j+m)(j-m+1)a/2 - jmr + (j+m)alpha}
-    divided by sqrt(2j+1); component n of the returned arrays corresponds
-    to m = j - n.  These are exactly the columns of the quadratic Fourier
-    companion matrix H_ra.
+    Component n of vector alpha, m = j - n, is
+    q^{(j+m)(j-m+1)a/2 - jmr + (j+m)alpha} / sqrt(2j+1).
     """
-    two_j = _two_j(j)
-    d = two_j + 1
-    a = a % d
-    if is_rational(r):
-        # 4 rd times the exponent above, over 4 rd d, with r = rn/rd,
-        # j+m = 2j-n, j-m+1 = n+1 and jm = (2j)(2j-2n)/4
-        r = as_fraction(r)
-        rn, rd = r.numerator, r.denominator
-        modulus = 4 * rd * d
-        lead = [2 * rd * (two_j - n) * (n + 1) * a - rn * two_j * (two_j - 2 * n)
-                for n in range(d)]
-        phase = lambda n, alpha: _phase_complex(
-            (lead[n] + 4 * rd * (two_j - n) * alpha) % modulus, modulus)
-    else:
-        rr = float(r)
-        phase = lambda n, alpha: _q(d, (two_j - n) * (n + 1) * a / 2
-                                    - two_j * (two_j - 2 * n) / 4 * rr
-                                    + (two_j - n) * alpha)
-    out = []
-    for alpha in range(d):
-        vec = np.array([phase(n, alpha) for n in range(d)], dtype=complex)
-        out.append(vec / sqrt(d))
-    return out
+    h = np.asarray(qdft.hra_matrix(_two_j(j) + 1, r, a), dtype=complex)
+    return list(np.ascontiguousarray(h.T))
 
 
 def eigenvalue_vra(j: Real, r: Real, a: int, alpha: int) -> complex:
-    """Eigenvalue q^{j(r+a) - alpha} of v_ra on eigenvector alpha."""
+    """Eigenvalue q^{j(r+a) - alpha} of v_ra on eigenvector alpha, as
+    2j(rn + a rd) - 2 rd alpha over 2 rd d, with r = rn/rd split as in
+    qdft's row phases ((float(r), 1) for a float r).  The integer terms
+    are reduced before a float r term joins them.
+    """
     two_j = _two_j(j)
     d = two_j + 1
-    if is_rational(r):
-        # 2 rd times the exponent, over 2 rd d, with r = rn/rd
-        r = as_fraction(r)
-        modulus = 2 * r.denominator * d
-        return _phase_complex((two_j * (r.numerator + (a % d) * r.denominator)
-                               - 2 * r.denominator * alpha) % modulus, modulus)
-    return _q(d, two_j / 2 * (float(r) + (a % d)) - alpha)
+    rn, rd = (r.numerator, r.denominator) if is_rational(r) else (float(r), 1)
+    modulus = 2 * rd * d
+    e = (two_j * (a % d) * rd - 2 * rd * alpha) % modulus
+    return _phase_complex((e + two_j * rn) % modulus, modulus)
 
 
 def overlap_same_a(j: Real, r: Real, s: Real, a: int, alpha: int, beta: int) -> complex:

@@ -346,7 +346,7 @@ class _Sweep:
             for _ in range(k):
                 product = product * weight[at]
                 at = dest[at]
-            want = quon.vra_tensor_power_phase(k, r, a)
+            want = weyl.vra_power_phase(k, r, a).to_complex()
             yield (float(np.max(np.abs(product - want))) if np.array_equal(at, start)
                    else float("inf"))
 

@@ -36,8 +36,7 @@ def test_result_types_and_helpers_come_from_their_modules():
              "qdft": ["HadamardReport"],
              "weyl": ["PauliGroupElement"],
              "mub": ["Basis", "MubSet", "CommutingClass", "PartitionReport"],
-             "quon": ["QuonRep", "Su2Triple", "q_number", "q_factorial",
-                      "tensor_index", "build_h"]}
+             "quon": ["QuonRep", "Su2Triple", "q_number", "tensor_index", "build_h"]}
     for module, names in homes.items():
         for name in names:
             assert not hasattr(mubkit, name)

@@ -364,6 +364,20 @@ def test_fbar_spin_bound(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("suite", ["weyl", "all"])
+def test_verify_negative_seed_is_usage_error(capsys, suite):
+    # refused before any suite runs, so no suite fails on its own terms
+    code, out, err = run(capsys, "verify", suite, "--seed", "-1", "--format", "json")
+    assert code == 2 and out == ""
+    assert "--seed -1 is negative" in err
+
+
+def test_fbar_alpha_not_an_integer_is_usage_error(capsys):
+    code, out, err = run(capsys, "fbar", "--j", "1,1,1", "--alpha", "0,x,1")
+    assert code == 2 and out == ""
+    assert "--alpha '0,x,1' is not a list of integers" in err and "0,1,2" in err
+
+
 def test_verify_dimension_bound(capsys):
     from mubkit import cli
     assert cli.MAX_VERIFY_D == 32
