@@ -24,8 +24,10 @@ product.  Exponents are int64 while every sum of two of them stays below
 2**53, and Python integers beyond that, so no operation overflows.
 
 Families of monomial matrices have two batched kernels: ``trace_gram``
-(every tr(a^dag b) of the family, equal to ``trace_pair`` pair by pair)
-and ``pairwise_products`` (every a @ b of the family as stacked arrays).
+(every tr(a^dag b), equal to ``trace_pair`` pair by pair, in one array
+pass) and ``pairwise_products`` (every a @ b as stacked arrays).
+``monomial`` and ``from_exponents`` check their input; builders whose
+columns are a permutation by construction call ``_from_monomial``.
 """
 
 from __future__ import annotations
@@ -203,10 +205,11 @@ class PhaseMatrix:
     def _new(cls, scaled: bool, n: int, mono: Optional[tuple],
              exps: Optional[np.ndarray]) -> "PhaseMatrix":
         m = object.__new__(cls)
-        dim = len(mono[0]) if mono is not None else len(exps)
-        for name, value in (("dim", dim), ("scaled", bool(scaled)), ("modulus", n),
-                            ("_mono", mono), ("_exps", exps)):
-            object.__setattr__(m, name, value)
+        _set_dim(m, len(mono[0]) if mono is not None else len(exps))
+        _set_scaled(m, bool(scaled))
+        _set_modulus(m, n)
+        _set_mono(m, mono)
+        _set_exps(m, exps)
         return m
 
     @classmethod
@@ -397,6 +400,11 @@ class PhaseMatrix:
         return trace_pair(PhaseMatrix.identity(self.dim), self)
 
 
+# the slot setters, which bypass PhaseMatrix.__setattr__ in _new
+_set_dim, _set_scaled, _set_modulus, _set_mono, _set_exps = (
+    PhaseMatrix.__dict__[name].__set__ for name in PhaseMatrix.__slots__)
+
+
 def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
     """tr(a^dag b) without forming the product, exact whenever decidable.
 
@@ -426,8 +434,8 @@ def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
 # trial division for the primes of a common modulus stops at this factor;
 # a cofactor it leaves unresolved sends trace_gram to the per-pair path
 _TRIAL_LIMIT = 1 << 12
-# most exponent differences trace_gram holds at once
-_GRAM_BLOCK = 1 << 18
+# most exponent differences trace_gram holds at once, 512 KB as int64
+_GRAM_BLOCK = 1 << 16
 
 
 def _prime_factors(n: int) -> Optional[list[int]]:
@@ -463,64 +471,55 @@ def _stack(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
     return n, cols, exps * scale[:, None]
 
 
-def trace_gram(mats: Sequence[PhaseMatrix]
-               ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def trace_gram(mats: Sequence[PhaseMatrix]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """tr(mats[i]^dag mats[j]) over a family of monomial matrices, block by block.
 
-    Yields (i, j, traces): two index arrays and the traces of those pairs,
-    each equal to trace_pair(mats[i], mats[j]).  A pair in no block shares
-    no position, so its trace is exactly 0j.
-
-    The family is grouped by column pattern.  Matrices of one pattern
-    share every position, so the exponent differences of all their pairs
-    form one array, and every pair is decided at once with the shortcuts
-    of _exact_sum: all differences equal, or a multiset invariant under
-    the shift N/p for a prime p | N (a multiset invariant under any
-    nontrivial shift is invariant under one of prime order).  Only the
-    pairs neither decides are summed one by one.  Pairs from two patterns
-    that share some positions, and every pair when N does not factor by
-    trial division, go through trace_pair.
+    Yields (i, j, traces), each trace equal to trace_pair(mats[i], mats[j]),
+    repr included; a pair in no block shares no position (0j).  The pairs
+    of each pattern are laid out in one array pass, with no loop over
+    patterns, and decided in blocks of _GRAM_BLOCK differences by the
+    _exact_sum shortcuts: all equal (dim * phase, from a table over the
+    distinct values) or invariant under a shift N/p, p | N prime (0j).
+    Partly overlapping patterns, and N that trial division cannot
+    factor, go through trace_pair.
     """
     mats = list(mats)
     if not mats:
         return
     n, cols, exps = _stack(mats)
     patterns, group = np.unique(cols, axis=0, return_inverse=True)
-    members = [np.flatnonzero(group.ravel() == g) for g in range(len(patterns))]
-    primes = _prime_factors(n)
-    for g, own in enumerate(members):
-        for h in np.flatnonzero((patterns == patterns[g]).any(axis=1)):
-            if h == g and primes is not None:
-                yield from _pattern_gram(mats, own, exps[own], n, primes)
-            else:
-                i, j = (a.ravel() for a in np.meshgrid(own, members[h], indexing="ij"))
-                yield i, j, np.array([trace_pair(mats[x], mats[y]) for x, y in zip(i, j)],
-                                     dtype=complex)
-
-
-def _pattern_gram(mats: list[PhaseMatrix], idx: np.ndarray, exps: np.ndarray, n: int,
-                  primes: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """trace_gram blocks of one column pattern: exps holds the exponents of
-    the matrices idx, which share every position."""
-    k, dim = exps.shape
-    step = max(1, _GRAM_BLOCK // (k * dim))
-    for start in range(0, k, step):
-        rows = slice(start, start + step)
-        # diff[(x, y)] = e_y - e_x, the exponents tr(x^dag y) sums
-        diff = ((exps[None, :, :] - exps[rows, None, :]) % n).reshape(-1, dim)
-        i = np.repeat(idx[rows], k)
-        j = np.tile(idx, len(i) // k)
+    group, primes = group.ravel(), _prime_factors(n)
+    # pattern pairs that share a position; equal ones only if N does not factor
+    shared = (patterns[:, None, :] == patterns[None, :, :]).any(axis=2)
+    shared[np.diag_indices(len(patterns))] = primes is None
+    if shared.any():
+        i, j = np.nonzero(shared[group[:, None], group])
+        yield i, j, np.array([trace_pair(mats[x], mats[y]) for x, y in zip(i, j)], dtype=complex)
+    if primes is None:
+        return
+    # pair t, counted from the start of its pattern g, is members divmod(t, size[g])
+    members, size = np.argsort(group, kind="stable"), np.bincount(group)
+    first, ends = np.cumsum(size) - size, np.cumsum(size * size)
+    scaled, dim = np.array([m.scaled for m in mats], dtype=np.intp), cols.shape[1]
+    unit = 1.0 / sqrt(dim)
+    amps, step = (1.0, unit, unit * unit), max(1, _GRAM_BLOCK // dim)
+    for start in range(0, int(ends[-1]), step):
+        t = np.arange(start, min(start + step, int(ends[-1])))
+        g = np.searchsorted(ends, t, side="right")
+        i, j = members[first[g] + np.divmod(t - ends[g] + size[g] ** 2, size[g])]
+        diff = (exps[j] - exps[i]) % n  # the exponents tr(i^dag j) sums
         equal = (diff == diff[:, :1]).all(axis=1)
         srt = np.sort(diff, axis=1)
-        cancel = np.zeros(len(diff), dtype=bool)
-        for p in primes:
-            cancel |= (np.sort((srt + n // p) % n, axis=1) == srt).all(axis=1)
-        # a cancelling pair traces to amplitude * 0j, which is 0j
-        traces = np.zeros(len(diff), dtype=complex)
-        for t in np.flatnonzero(~cancel):
-            total = (dim * _phase_complex(int(diff[t, 0]), n) if equal[t]
-                     else _complex_sum(diff[t].tolist(), n))
-            traces[t] = mats[i[t]].amplitude * mats[j[t]].amplitude * total
+        cancel = np.any([(np.sort((srt + n // p) % n, axis=1) == srt).all(axis=1)
+                         for p in primes], axis=0)
+        # amplitude * sum as in trace_pair: 0j if cancelling, amp * (dim * phase) if equal
+        level, traces = scaled[i] + scaled[j], np.zeros(len(diff), dtype=complex)
+        values, which = np.unique(diff[equal, 0], return_inverse=True)
+        table = np.array([[amp * (dim * _phase_complex(int(e), n)) for e in values]
+                          for amp in amps], dtype=complex)
+        traces[equal] = table[level[equal], which.ravel()]
+        for u in np.flatnonzero(~(equal | cancel)):
+            traces[u] = amps[level[u]] * _complex_sum(diff[u].tolist(), n)
         yield i, j, traces
 
 

@@ -114,7 +114,7 @@ def dra_matrix(d: int, r: Real = 0, a: int = 0) -> Union[PhaseMatrix, np.ndarray
     """Diagonal Gaussian factor with F_ra = D_ra @ F; its entries are the row phases."""
     row, den = _row(d, r, a)
     if is_rational(r):
-        return PhaseMatrix.monomial(range(d), row, den)
+        return PhaseMatrix._from_monomial(False, den * d, tuple(range(d)), tuple(row.tolist()))
     return np.diag(_phase_array(row, den * d))
 
 

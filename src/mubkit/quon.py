@@ -269,7 +269,7 @@ def eigenvalue_vra(j: Real, r: Real, a: int, alpha: int) -> complex:
     d = two_j + 1
     rn, rd = (r.numerator, r.denominator) if is_rational(r) else (float(r), 1)
     modulus = 2 * rd * d
-    e = (two_j * (a % d) * rd - 2 * rd * alpha) % modulus
+    e = (two_j * qdft._checked_a(d, a) * rd - 2 * rd * alpha) % modulus
     return _phase_complex((e + two_j * rn) % modulus, modulus)
 
 

@@ -91,12 +91,12 @@ def _row_symmetry_holds(f: PhaseMatrix, d: int, r, a: int) -> bool:
 
 
 def _diagonalizes_vra(h: PhaseMatrix, d: int, r, a: int) -> bool:
-    """V_ra @ h == h @ Lambda_ra exactly, Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha}):
-    h = H_ra is the eigenvector matrix of V_ra, column alpha to that eigenvalue."""
+    """V_ra @ h == h @ Lambda_ra exactly, Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha})
+    = q^{(d-1)(r+a)/2} Z^{-1}: h = H_ra is the eigenvector matrix of V_ra,
+    column alpha to that eigenvalue."""
     r = Fraction(r)
     u, v = r.numerator, r.denominator
-    lam = PhaseMatrix.monomial(range(d), [(d - 1) * (u + a * v) - 2 * v * alpha
-                                          for alpha in range(d)], 2 * v)
+    lam = weyl._shift_clock(d, 0, -1, (d - 1) * (u + a * v), 2 * v)
     return weyl.vra_matrix(d, r, a) @ h == h @ lam
 
 

@@ -60,11 +60,11 @@ def _shift_clock(d: int, shift: int, clock: int, phase: int = 0,
     """q^(phase/den) X^shift Z^clock as a monomial: row n has its entry in
     column m = n + shift mod d, with exponent phase + den*clock*m over den.
 
-    m may stay unreduced, since den*clock*d is a multiple of the modulus
-    den*d, so labels of any size go in as Python integers.
-    """
-    cols = range(shift, shift + d)
-    return PhaseMatrix.monomial(cols, [phase + den * clock * m for m in cols], den)
+    den*clock*d is a multiple of the modulus den*d, so clock enters mod d
+    and labels of any size go in as Python integers; nothing is re-checked."""
+    n, s, step = den * d, shift % d, den * (clock % d)
+    cols = (*range(s, d), *range(s))
+    return PhaseMatrix._from_monomial(False, n, cols, tuple((phase + step * m) % n for m in cols))
 
 
 def x_matrix(d: int) -> PhaseMatrix:
@@ -80,9 +80,10 @@ def z_matrix(d: int) -> PhaseMatrix:
 def pr_matrix(d: int, r: Rational) -> PhaseMatrix:
     """diag(1, ..., 1, exp(i*pi*(d-1)*r)); r must be rational for exactness."""
     r = as_fraction(r)
+    n = 2 * r.denominator * d
     # the corner e^{i*pi*(d-1)r} is q^{d(d-1)r/2}
-    return PhaseMatrix.monomial(range(d), [0] * (d - 1) + [d * (d - 1) * r.numerator],
-                                2 * r.denominator)
+    return PhaseMatrix._from_monomial(False, n, tuple(range(d)),
+                                      (0,) * (d - 1) + (d * (d - 1) * r.numerator % n,))
 
 
 def vra_band_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
@@ -91,8 +92,8 @@ def vra_band_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
     den = 2 * r.denominator
     # row n-1 holds q^{na} in column n; the corner e^{i*pi*(d-1)r} is
     # q^{d(d-1)r/2}, which is what the last row's exponent over den says
-    exps = [den * n * a for n in range(1, d)] + [d * (d - 1) * r.numerator]
-    return PhaseMatrix.monomial([n + 1 for n in range(d)], exps, den)
+    exps = [den * (n * a % d) for n in range(1, d)] + [d * (d - 1) * r.numerator % (den * d)]
+    return PhaseMatrix._from_monomial(False, den * d, tuple(range(1, d)) + (0,), tuple(exps))
 
 
 def vra_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mubkit import phases
 from mubkit.cli import payload_to_matrix, phase_matrix_payload
 from mubkit.phases import (ExactPhase, PhaseMatrix, _complex_sum, pairwise_products,
                            trace_gram, trace_pair)
@@ -369,3 +370,81 @@ def test_batched_kernels_take_monomial_families_only():
     with pytest.raises(ValueError, match="dimension"):
         list(trace_gram([u_ab(3, (1, 1)), u_ab(4, (1, 1))]))
     assert list(trace_gram([])) == []
+
+
+@st.composite
+def uneven_pattern_families(draw):
+    """Monomial families whose column patterns have unequal member counts:
+    a few cyclic shifts (pairwise disjoint) and several random permutations
+    (which partly overlap them and each other), each used by 1-4 members
+    over mixed moduli, some scaled, some repeating an earlier member up to
+    a global phase."""
+    dim = draw(st.integers(2, 5))
+    patterns = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=3, unique=True))
+    patterns = [tuple((i + s) % dim for i in range(dim)) for s in patterns]
+    patterns += draw(st.lists(st.permutations(range(dim)).map(tuple), min_size=2, max_size=4))
+    mats = []
+    for cols in patterns:
+        n = draw(st.one_of(moduli, st.sampled_from(SMOOTH_LARGE_MODULI)))
+        for _ in range(draw(st.integers(1, 4))):
+            if mats and mats[-1].monomial_view[0] == cols and draw(st.booleans()):
+                turn = ExactPhase(Fraction(draw(st.integers(0, 11)), 12))
+                mats.append(mats[-1].scaled_by(turn))
+                continue
+            exps = draw(st.lists(st.one_of(st.integers(0, n - 1), st.sampled_from([0, n // 2])),
+                                 min_size=dim, max_size=dim))
+            mats.append(PhaseMatrix.monomial(cols, exps, n, draw(st.booleans())))
+    return draw(st.permutations(mats))
+
+
+def sharing_pairs(mats):
+    """Every (x, y) whose matrices share a position: the pairs trace_gram yields."""
+    cols = [m.monomial_view[0] for m in mats]
+    return {(x, y) for x, a in enumerate(cols) for y, b in enumerate(cols)
+            if any(p == q for p, q in zip(a, b))}
+
+
+def assert_gram_is_trace_pair(mats):
+    got = gram_dict(mats)  # asserts that no (i, j) comes twice
+    assert set(got) == sharing_pairs(mats)
+    for (x, y), value in got.items():
+        want = trace_pair(mats[x], mats[y])
+        assert value == want and repr(value) == repr(want)
+
+
+@PROPERTY_SETTINGS
+@given(uneven_pattern_families())
+def test_trace_gram_over_uneven_and_overlapping_patterns(mats):
+    assert_gram_is_trace_pair(mats)
+
+
+@PROPERTY_SETTINGS
+@given(mats=uneven_pattern_families(), block=st.sampled_from([1, 5, 16]))
+def test_trace_gram_blocks_split_one_pattern(mats, block):
+    # _GRAM_BLOCK // dim pairs per block: 1 to 8 pairs, so the pairs of one
+    # pattern spread over several blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phases, "_GRAM_BLOCK", block)
+        assert_gram_is_trace_pair(mats)
+
+
+@pytest.mark.parametrize("block", [1, 13, 50])
+def test_trace_gram_blocks_split_the_pauli_family(monkeypatch, block):
+    monkeypatch.setattr(phases, "_GRAM_BLOCK", block)
+    d = 5
+    assert_gram_is_trace_pair([u_ab(d, (a, b)) for a in range(d) for b in range(d)])
+
+
+@pytest.mark.parametrize("n", [1_000_000_007, 4099 * 4111, 10 ** 18 + 9])
+def test_trace_gram_with_a_modulus_trial_division_cannot_factor(n):
+    # every pair then goes through trace_pair: one pattern with equal,
+    # cancelling and undecided multisets, a partly overlapping one and a
+    # disjoint one
+    mats = [PhaseMatrix.monomial(range(4), [0, n, 2 * n, 3 * n], n),
+            PhaseMatrix.monomial(range(4), [5, 5, 5, 5], n, scaled=True),
+            PhaseMatrix.monomial(range(4), [1, 0, 0, 7], n),
+            PhaseMatrix.monomial(range(4), [0, 2 * n, 0, 2 * n], n),
+            PhaseMatrix.monomial([0, 1, 3, 2], [2, 9, 0, 4], n),
+            PhaseMatrix.monomial([1, 2, 3, 0], [3, 3, 3, 3], n)]
+    assert phases._prime_factors(phases._stack(mats)[0]) is None
+    assert_gram_is_trace_pair(mats)

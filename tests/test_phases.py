@@ -93,6 +93,15 @@ def test_immutable():
 
 # -- PhaseMatrix ------------------------------------------------------------
 
+def test_phase_matrix_immutable():
+    # _new writes the slots through their descriptors; attribute
+    # assignment still raises, for every slot and for a new name
+    for m in (PhaseMatrix.identity(3), PhaseMatrix.from_exponents(2, [[0, 1], [1, 0]])):
+        for name in ("dim", "scaled", "modulus", "_mono", "_exps", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+    assert PhaseMatrix.identity(3).dim == 3
+
 def test_matrix_mul_shift_times_inverse_is_identity():
     x = x_matrix(3)
     assert x @ x.dagger() == PhaseMatrix.identity(3)

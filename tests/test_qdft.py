@@ -417,3 +417,19 @@ def test_hra_is_fra_with_rows_reversed(d, r):
         dense_h = hra_matrix(d, float(r), a)
         dense_f = fra_matrix(d, float(r), a)
         assert np.max(np.abs(dense_h - dense_f[::-1])) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_exact_dra_equals_the_checked_constructor(d):
+    # dra_matrix skips PhaseMatrix.monomial's checks, since _row reduces
+    # every phase; it must equal the monomial(...) call it replaces, also
+    # for a huge label and denominators whose modulus passes int64
+    huge = 10 ** 30 + 1
+    rs = [0, Fraction(1, 3), Fraction(-2, 5), Fraction(7, 3), Fraction(1, 10 ** 18 + 9),
+          Fraction(huge, 10 ** 23 + 7)]
+    for r in rs:
+        for a in [*range(-d, 2 * d), huge]:
+            row, den = _row(d, r, a)
+            m, ref = dra_matrix(d, r, a), PhaseMatrix.monomial(range(d), row, den)
+            assert (m.modulus, m.monomial_view, m.scaled) == (ref.modulus, ref.monomial_view,
+                                                               ref.scaled)

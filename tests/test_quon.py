@@ -386,6 +386,16 @@ def test_invalid_spin_rejected():
         eigenbasis(1, 0, 1.0)
 
 
+def test_eigenvalue_vra_takes_integer_labels_only():
+    # eigenvalue_vra checks a as qdft does, like eigenbasis
+    for a in (1.5, 1.0, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            eigenvalue_vra(1, 0, a, 0)
+        with pytest.raises(TypeError):
+            eigenbasis(1, 0, a)
+    assert eigenvalue_vra(1, Fraction(1, 3), -2, 1) == eigenvalue_vra(1, Fraction(1, 3), 1, 1)
+
+
 def exact_phase_route(d, e):
     """q**e for rational e through ExactPhase, one entry at a time."""
     return q_power(d, e).to_complex()

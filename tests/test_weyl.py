@@ -12,7 +12,8 @@ from mubkit.weyl import (PauliGroupElement, x_matrix, z_matrix, pr_matrix,
                          vra_matrix, vra_band_matrix, vra_power_phase, u_ab,
                          weyl_relation_check, pauli_trace_orthogonality,
                          pauli_compose, pauli_element_matrix,
-                         t_matrix, sine_product_check, sine_commutator_check)
+                         t_matrix, sine_product_check, sine_commutator_check,
+                         _shift_clock)
 from mubkit.verify import INVARIANTS, _Sweep
 
 
@@ -34,6 +35,49 @@ def test_closed_forms_equal_their_definitions(d):
     for a, b, c in itertools.product(labels, repeat=3):
         assert pauli_element_matrix(d, (a, b, c)) == (x ** (b % d) @ z ** (c % d)).scaled_by(
             q_power(d, a))
+
+
+HUGE = 10 ** 30 + 1
+
+
+def builder_labels(d):
+    return [*range(-d, 2 * d), HUGE]
+
+
+def assert_same_monomial(m, ref):
+    assert (m.modulus, m.monomial_view, m.scaled) == (ref.modulus, ref.monomial_view, ref.scaled)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_unchecked_builders_equal_the_checked_constructor(d):
+    # the Weyl builders skip PhaseMatrix.monomial's checks; each must equal
+    # the monomial(...) call it replaces, for labels of any sign and size
+    labels = builder_labels(d)
+    for shift, clock in itertools.product(labels, repeat=2):
+        for phase, den in ((0, 1), (-5, 2), (HUGE, 2), (-HUGE * 7, 3)):
+            cols = range(shift, shift + d)
+            assert_same_monomial(_shift_clock(d, shift, clock, phase, den), PhaseMatrix.monomial(
+                cols, [phase + den * clock * m for m in cols], den))
+    rs = [Fraction(k, v) for k in labels for v in (1, 2, 3, 10 ** 23 + 7)]
+    for r in rs:
+        assert_same_monomial(pr_matrix(d, r), PhaseMatrix.monomial(
+            range(d), [0] * (d - 1) + [d * (d - 1) * r.numerator], 2 * r.denominator))
+    for r, a in itertools.product(rs[::7], labels):
+        den = 2 * r.denominator
+        assert_same_monomial(vra_band_matrix(d, r, a), PhaseMatrix.monomial(
+            [n + 1 for n in range(d)],
+            [den * n * a for n in range(1, d)] + [d * (d - 1) * r.numerator], den))
+
+
+def test_monomial_still_checks_its_input():
+    with pytest.raises(ValueError, match="one entry per row and column"):
+        PhaseMatrix.monomial([0, 2], [0, 1])  # columns 0 and 2 = 0 mod 2
+    with pytest.raises(ValueError, match="one entry per row and column"):
+        PhaseMatrix.monomial([1, 1, 0], [0, 0, 0])
+    with pytest.raises(ValueError, match="one entry per row and column"):
+        PhaseMatrix.monomial([0, 1], [0, 1, 2])
+    with pytest.raises(ValueError, match="one entry per row and column"):
+        PhaseMatrix.monomial([0, 1, 2], [0, 1])
 
 
 def test_p0_is_identity():
