@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .phases import PhaseMatrix, pairwise_products
+from .phases import PhaseMatrix, _primes, pairwise_products
 from .qdft import fra_matrix, gauss_sum, hra_matrix, is_generalized_hadamard
 from .weyl import _gram_residual, u_ab
 
@@ -79,14 +79,7 @@ class MubSet:
 
 def is_prime(n: int) -> bool:
     """Trial division; fine at desk scale."""
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n >= 2 and _primes(n) == [n]
 
 
 def _computational_basis(d: int) -> Basis:

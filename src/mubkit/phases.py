@@ -23,6 +23,10 @@ no PhaseMatrix and raises ValueError; ``np.asarray(a) @ b`` is the dense
 product.  Exponents are int64 while every sum of two of them stays below
 2**53, and Python integers beyond that, so no operation overflows.
 
+A trace is a sum of k roots of unity exp(2*pi*i*e/N), decided exactly
+in one place, ``_decide`` (all equal, or cancelling under a shift N/p
+for a prime p of gcd(N, k)); any other sum is a float sum in row order.
+
 Families of monomial matrices have two batched kernels: ``trace_gram``
 (every tr(a^dag b), equal to ``trace_pair`` pair by pair, in one array
 pass) and ``pairwise_products`` (every a @ b as stacked arrays).
@@ -32,7 +36,6 @@ columns are a permutation by construction call ``_from_monomial``.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import cos, gcd, lcm, pi, sin, sqrt
 from typing import Iterator, Optional, Sequence, Union
@@ -62,10 +65,11 @@ def as_fraction(x: Rational) -> Fraction:
 
 
 # exp(2*pi*i*k/4) for k = 0..3, kept exact so sigma-like matrices convert
-# to complex without rounding noise
-_QUARTER = (1 + 0j, 1j, -1 + 0j, -1j)
+# to complex without rounding noise; one table, so _phase_complex and
+# _phase_array give equal bytes (+0.0, never -0.0)
 _QUARTER_RE = np.array([1.0, 0.0, -1.0, 0.0])
 _QUARTER_IM = np.array([0.0, 1.0, 0.0, -1.0])
+_QUARTER = tuple(complex(re, im) for re, im in zip(_QUARTER_RE, _QUARTER_IM))
 
 # exponents mod N stay int64 below this modulus: the sum of two of them,
 # and 4 * e for the quarter-turn test, stay exact, and e / N rounds once
@@ -147,40 +151,47 @@ def q_power(d: int, exponent: Rational) -> ExactPhase:
     return ExactPhase(Fraction(exponent) / d)
 
 
-def _exact_sum(exps: Sequence[int], n: int) -> Optional[complex]:
-    """Exact value of sum(exp(2*pi*i*e/n) for e in exps), 0 <= e < n, when
-    decidable without cyclotomic arithmetic.
+def _primes(n: int) -> list[int]:
+    """The distinct primes of n >= 1, by trial division."""
+    primes, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
-    Covers the empty sum, the all-equal sum, and multisets invariant under
-    rotation by a prime root of unity (which forces exact cancellation).
-    A rotation is a shift of every exponent by some s mod n.  A multiset
-    invariant under a nontrivial shift is invariant under one of prime
-    order (a multiple of it), and any invariant shift maps the first
-    exponent e0 onto another, so the differences e - e0 are the only
-    shifts to try; no factorisation of n is needed.  Returns None when no
-    exact shortcut applies.
+
+def _decide(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (all equal, cancels) over rows of k >= 1 exponents mod n.
+
+    A row cancels (sums to exactly 0) when a nonzero shift of every
+    exponent leaves its multiset unchanged.  Such a shift has a multiple
+    of prime order p, so p divides n, and its orbits have p members, so p
+    divides k: the shifts n/p for the primes p of gcd(n, k) <= k are the
+    only ones to try, and trial division always factors gcd(n, k).
     """
-    if not exps:
-        return 0j
-    counts = Counter(exps)
-    if len(counts) == 1:
-        ((e, k),) = counts.items()
-        return k * _phase_complex(e, n)
-    e0 = exps[0]
-    for e in counts:
-        shift = e - e0
-        # the shift is a bijection on residues, so equal counts at e and
-        # e + shift for every e make the multiset invariant
-        if shift and all(counts.get((f + shift) % n) == k for f, k in counts.items()):
-            return 0j
-    return None
+    equal = (rows == rows[:, :1]).all(axis=1)
+    cancel = np.zeros(len(rows), dtype=bool)
+    srt = np.sort(rows, axis=1)
+    for p in _primes(gcd(n, rows.shape[1])):
+        cancel |= (np.sort((srt + n // p) % n, axis=1) == srt).all(axis=1)
+    return equal, cancel
 
 
 def _complex_sum(exps: Sequence[int], n: int) -> complex:
-    total = _exact_sum(exps, n)
-    if total is None:
-        total = sum(_phase_complex(e, n) for e in exps)
-    return total
+    """sum(exp(2*pi*i*e/n) for e in exps), 0 <= e < n; exact where _decide decides it."""
+    if not exps:
+        return 0j
+    (equal,), (cancel,) = _decide(np.array([exps], dtype=exponent_dtype(n)), n)
+    if equal:
+        return len(exps) * _phase_complex(exps[0], n)
+    if cancel:
+        return 0j
+    return sum(_phase_complex(e, n) for e in exps)
 
 
 class PhaseMatrix:
@@ -409,8 +420,8 @@ def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
     """tr(a^dag b) without forming the product, exact whenever decidable.
 
     The pairing collects conj(a[k][i]) * b[k][i] over all positions where
-    both entries are present, in row-major order, then reuses the
-    exact-sum shortcuts.
+    both entries are present, in row-major order, and sums it with
+    _complex_sum.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -431,28 +442,8 @@ def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
     return a.amplitude * b.amplitude * _complex_sum(exps, n)
 
 
-# trial division for the primes of a common modulus stops at this factor;
-# a cofactor it leaves unresolved sends trace_gram to the per-pair path
-_TRIAL_LIMIT = 1 << 12
 # most exponent differences trace_gram holds at once, 512 KB as int64
 _GRAM_BLOCK = 1 << 16
-
-
-def _prime_factors(n: int) -> Optional[list[int]]:
-    """The distinct primes of n, or None when trial division up to
-    _TRIAL_LIMIT leaves a composite-or-prime cofactor it cannot tell apart."""
-    primes, f = [], 2
-    while f * f <= n:
-        if f > _TRIAL_LIMIT:
-            return None
-        if n % f == 0:
-            primes.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        primes.append(n)
-    return primes
 
 
 def _stack(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -477,49 +468,45 @@ def trace_gram(mats: Sequence[PhaseMatrix]) -> Iterator[tuple[np.ndarray, np.nda
     Yields (i, j, traces), each trace equal to trace_pair(mats[i], mats[j]),
     repr included; a pair in no block shares no position (0j).  The pairs
     of each pattern are laid out in one array pass, with no loop over
-    patterns, and decided in blocks of _GRAM_BLOCK differences by the
-    _exact_sum shortcuts: all equal (dim * phase, from a table over the
-    distinct values) or invariant under a shift N/p, p | N prime (0j).
-    Partly overlapping patterns, and N that trial division cannot
-    factor, go through trace_pair.
+    patterns, and decided by _decide in blocks of _GRAM_BLOCK differences:
+    all equal is dim * phase, one Python product per distinct (amplitude,
+    difference) of the call, and a multiset invariant under a shift N/p,
+    p a prime of gcd(N, dim), is 0j.  The rest are summed in floats.
+    Partly overlapping patterns go through trace_pair.
     """
     mats = list(mats)
     if not mats:
         return
     n, cols, exps = _stack(mats)
     patterns, group = np.unique(cols, axis=0, return_inverse=True)
-    group, primes = group.ravel(), _prime_factors(n)
-    # pattern pairs that share a position; equal ones only if N does not factor
+    group = group.ravel()
+    # pattern pairs that share some but not all positions
     shared = (patterns[:, None, :] == patterns[None, :, :]).any(axis=2)
-    shared[np.diag_indices(len(patterns))] = primes is None
+    shared[np.diag_indices(len(patterns))] = False
     if shared.any():
         i, j = np.nonzero(shared[group[:, None], group])
         yield i, j, np.array([trace_pair(mats[x], mats[y]) for x, y in zip(i, j)], dtype=complex)
-    if primes is None:
-        return
     # pair t, counted from the start of its pattern g, is members divmod(t, size[g])
     members, size = np.argsort(group, kind="stable"), np.bincount(group)
     first, ends = np.cumsum(size) - size, np.cumsum(size * size)
     scaled, dim = np.array([m.scaled for m in mats], dtype=np.intp), cols.shape[1]
     unit = 1.0 / sqrt(dim)
     amps, step = (1.0, unit, unit * unit), max(1, _GRAM_BLOCK // dim)
+    table = {}  # the all-equal trace by 3 * difference + amplitude level, over all blocks
     for start in range(0, int(ends[-1]), step):
         t = np.arange(start, min(start + step, int(ends[-1])))
         g = np.searchsorted(ends, t, side="right")
         i, j = members[first[g] + np.divmod(t - ends[g] + size[g] ** 2, size[g])]
         diff = (exps[j] - exps[i]) % n  # the exponents tr(i^dag j) sums
-        equal = (diff == diff[:, :1]).all(axis=1)
-        srt = np.sort(diff, axis=1)
-        cancel = np.any([(np.sort((srt + n // p) % n, axis=1) == srt).all(axis=1)
-                         for p in primes], axis=0)
-        # amplitude * sum as in trace_pair: 0j if cancelling, amp * (dim * phase) if equal
+        equal, cancel = _decide(diff, n)
         level, traces = scaled[i] + scaled[j], np.zeros(len(diff), dtype=complex)
-        values, which = np.unique(diff[equal, 0], return_inverse=True)
-        table = np.array([[amp * (dim * _phase_complex(int(e), n)) for e in values]
-                          for amp in amps], dtype=complex)
-        traces[equal] = table[level[equal], which.ravel()]
+        keys, which = np.unique(3 * diff[equal, 0] + level[equal], return_inverse=True)
+        for key in keys.tolist():
+            if key not in table:  # amplitude * sum, as trace_pair computes it
+                table[key] = amps[key % 3] * (dim * _phase_complex(key // 3, n))
+        traces[equal] = np.array([table[key] for key in keys.tolist()], dtype=complex)[which.ravel()]
         for u in np.flatnonzero(~(equal | cancel)):
-            traces[u] = amps[level[u]] * _complex_sum(diff[u].tolist(), n)
+            traces[u] = amps[level[u]] * sum(_phase_complex(e, n) for e in diff[u].tolist())
         yield i, j, traces
 
 

@@ -16,6 +16,10 @@ from mubkit.weyl import u_ab
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
+    sieve = [False, False] + [True] * 1998
+    for f in range(2, 45):
+        sieve[f * f::f] = [False] * len(sieve[f * f::f])
+    assert [is_prime(n) for n in range(2000)] == sieve
 
 
 def test_mub_prime_rejects_composite_with_pointer_to_triple():

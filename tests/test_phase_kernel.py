@@ -11,6 +11,7 @@ np.asarray(m, dtype=complex); every result must agree with it within
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import numpy as np
@@ -81,6 +82,24 @@ def ref_exact_sum(turns):
                                     for t in counts.elements()) == counts:
             return 0j
     return None
+
+
+def any_shift_sum(exps, n):
+    """Oracle for _complex_sum that factors nothing: the empty sum, the
+    all-equal sum, and 0j for a multiset that some shift e - e0 (e0 the
+    first exponent) leaves unchanged, trying every such shift; any other
+    sum is the float sum in the given order."""
+    if not exps:
+        return 0j
+    counts = Counter(exps)
+    if len(counts) == 1:
+        ((e, k),) = counts.items()
+        return k * phases._phase_complex(e, n)
+    for e in counts:
+        shift = e - exps[0]
+        if shift and all(counts.get((f + shift) % n) == k for f, k in counts.items()):
+            return 0j
+    return sum(phases._phase_complex(e, n) for e in exps)
 
 
 def table(m):
@@ -233,6 +252,44 @@ def test_payload_round_trip(pair):
     ta, sa, _, _ = pair
     m = build(ta, sa)
     assert payload_to_matrix(phase_matrix_payload(m)) == m
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_complex_sum_equals_the_any_shift_rule_on_every_small_multiset(n):
+    for k in range(7):
+        for multiset in combinations_with_replacement(range(n), k):
+            for exps in (list(multiset), list(multiset[::-1])):
+                got, want = _complex_sum(exps, n), any_shift_sum(exps, n)
+                assert got == want and repr(got) == repr(want)
+
+
+# moduli with a prime above 4096**2, which trial division of N would take
+# thousands of steps to reach; _decide factors only gcd(N, k) <= k
+HUGE_PRIME_MODULI = [4 * (10 ** 9 + 7), 10 ** 18 + 9, 6 * (2 ** 61 - 1), 30 * 1_000_000_009]
+
+
+@st.composite
+def huge_prime_rows(draw):
+    """(N, exponents): whole orbits of a shift N/p for a small prime p of N,
+    loose exponents, or one exponent repeated, in a random order."""
+    n = draw(st.sampled_from(HUGE_PRIME_MODULI))
+    exponents = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n // 2, n // 3]))
+    p = draw(st.sampled_from([p for p in (2, 3, 5) if n % p == 0] or [1]))
+    exps = []
+    for e in draw(st.lists(exponents, max_size=3)):
+        exps += [(e + s * (n // p)) % n for s in range(p)]
+    exps += draw(st.lists(exponents, max_size=4))
+    if exps and draw(st.booleans()):
+        exps = [exps[0]] * len(exps)
+    return n, draw(st.permutations(exps))
+
+
+@PROPERTY_SETTINGS
+@given(huge_prime_rows())
+def test_complex_sum_equals_the_any_shift_rule_over_a_huge_prime_modulus(row):
+    n, exps = row
+    got, want = _complex_sum(exps, n), any_shift_sum(exps, n)
+    assert got == want and repr(got) == repr(want)
 
 
 def test_exact_results_are_builtin_types():
@@ -435,16 +492,39 @@ def test_trace_gram_blocks_split_the_pauli_family(monkeypatch, block):
     assert_gram_is_trace_pair([u_ab(d, (a, b)) for a in range(d) for b in range(d)])
 
 
+def trace_pair_calls(monkeypatch):
+    """The (a, b) of every trace_pair call trace_gram makes from now on."""
+    calls, real = [], phases.trace_pair
+    monkeypatch.setattr(phases, "trace_pair", lambda a, b: calls.append((a, b)) or real(a, b))
+    return calls
+
+
 @pytest.mark.parametrize("n", [1_000_000_007, 4099 * 4111, 10 ** 18 + 9])
-def test_trace_gram_with_a_modulus_trial_division_cannot_factor(n):
-    # every pair then goes through trace_pair: one pattern with equal,
-    # cancelling and undecided multisets, a partly overlapping one and a
-    # disjoint one
+def test_trace_gram_with_a_modulus_trial_division_cannot_factor(monkeypatch, n):
+    # one pattern with equal, cancelling and undecided multisets, a partly
+    # overlapping one and a disjoint one; only the partly overlapping
+    # pairs go through trace_pair
     mats = [PhaseMatrix.monomial(range(4), [0, n, 2 * n, 3 * n], n),
             PhaseMatrix.monomial(range(4), [5, 5, 5, 5], n, scaled=True),
             PhaseMatrix.monomial(range(4), [1, 0, 0, 7], n),
             PhaseMatrix.monomial(range(4), [0, 2 * n, 0, 2 * n], n),
             PhaseMatrix.monomial([0, 1, 3, 2], [2, 9, 0, 4], n),
             PhaseMatrix.monomial([1, 2, 3, 0], [3, 3, 3, 3], n)]
-    assert phases._prime_factors(phases._stack(mats)[0]) is None
+    calls = trace_pair_calls(monkeypatch)
     assert_gram_is_trace_pair(mats)
+    assert calls and all(a.monomial_view[0] != b.monomial_view[0] for a, b in calls)
+
+
+@pytest.mark.parametrize("n", [4 * (10 ** 9 + 7), 10 ** 18 + 9])
+def test_trace_gram_decides_same_pattern_pairs_without_trace_pair(monkeypatch, n):
+    # one pattern at common modulus n, with differences that are all
+    # equal, that cancel under the shift n/2 (n even) and that neither decides
+    rows = [[0, 0, 0, 0], [5, 5, 5, 5], [0, n // 2, 0, n // 2], [1, 0, 0, 7],
+            [3, 3 + n // 2, 9, 9 + n // 2]]
+    # q**(4e / n) with q = exp(2*pi*i/4) is exp(2*pi*i*e/n)
+    mats = [PhaseMatrix.monomial(range(4), [4 * e for e in row], n, scaled)
+            for row in rows for scaled in (False, True)]
+    assert phases._stack(mats)[0] == n
+    calls = trace_pair_calls(monkeypatch)
+    assert_gram_is_trace_pair(mats)
+    assert calls == []

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mubkit.phases import ExactPhase, PhaseMatrix, q_power, trace_pair
+from mubkit.phases import (ExactPhase, PhaseMatrix, _phase_array, _phase_complex, q_power,
+                           trace_pair)
 from mubkit.qdft import fra_matrix
 from mubkit.weyl import x_matrix, z_matrix
 
@@ -60,6 +61,14 @@ def test_to_complex_special_values():
     assert ExactPhase(Fraction(1, 4)).to_complex() == 1j
     third = ExactPhase(Fraction(1, 3)).to_complex()
     assert abs(third - complex(-0.5, np.sqrt(3) / 2)) < 1e-15
+
+
+def test_quarter_turns_have_equal_bytes_on_both_routes():
+    # ExactPhase.to_complex and PhaseMatrix.to_complex read one table, so
+    # the 3/4 turn is 0.0 - 1.0i on both, its real part +0.0
+    for e in range(4):
+        assert (np.asarray(_phase_complex(e, 4)).tobytes()
+                == _phase_array(np.array([e]), 4)[0].tobytes())
 
 
 def test_to_complex_unit_modulus():

@@ -322,11 +322,11 @@ def test_float_r_matches_exact_route_at_the_same_binary_value(r):
 
 @pytest.mark.parametrize("n", [3, 8, 12, 257])
 def test_phase_complex_float_exponent_equals_phase_array(n):
-    # a float exponent reduced mod n can round up to n itself; the values
-    # are compared with ==, as the two write the zero of -1j with
-    # different signs
+    # a float exponent reduced mod n can round up to n itself; the two
+    # read one quarter-turn table, so their bytes match
     for e in (0.0, n / 4, n / 2, 3 * n / 4, 0.3, float(n)):
-        assert _phase_complex(e, n) == _phase_array(np.array([e]), n)[0]
+        assert (np.asarray(_phase_complex(e, n)).tobytes()
+                == _phase_array(np.array([e]), n)[0].tobytes())
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -406,10 +406,9 @@ def exact_phase_route(d, e):
 def test_integer_phases_are_bit_identical_to_exact_phase_route(r):
     # the reference evaluates the documented exponents directly:
     # component n = j - m of vector alpha is q^{(j+m)(j-m+1)a/2 - jmr + (j+m)alpha},
-    # and the eigenvalue is q^{j(r+a) - alpha}.  The eigenvalue bytes match,
-    # signed zeros included; the eigenbasis values match under ==, but a
-    # zero part may differ in sign, as PhaseMatrix.to_complex writes +0.0
-    # where the -1j quarter turn of ExactPhase.to_complex carries -0.0
+    # and the eigenvalue is q^{j(r+a) - alpha}.  The bytes match, signed
+    # zeros included: ExactPhase.to_complex and PhaseMatrix.to_complex
+    # read one quarter-turn table
     for d in range(2, 40):
         j = j_of(d)
         for a in (0, 1, d // 2, d - 1):
@@ -417,7 +416,7 @@ def test_integer_phases_are_bit_identical_to_exact_phase_route(r):
             lead = [(d - 1 - n) * (n + 1) * Fraction(a, 2) - j * (j - n) * r for n in range(d)]
             want = np.array([[exact_phase_route(d, lead[n] + (d - 1 - n) * alpha)
                               for n in range(d)] for alpha in range(d)]) / sqrt(d)
-            assert np.array_equal(np.asarray(eigenbasis(j, r, a)), want)
+            assert np.asarray(eigenbasis(j, r, a)).tobytes() == want.tobytes()
             for alpha in range(d):
                 want = np.asarray(exact_phase_route(d, j * (r + a) - alpha))
                 assert np.asarray(eigenvalue_vra(j, r, a, alpha)).tobytes() == want.tobytes()
