@@ -219,16 +219,19 @@ def mub_dim4() -> MubSet:
     return MubSet(4, bases, declared_complete=True)
 
 
-def entanglement_det(state: np.ndarray, d: int) -> float:
+def entanglement_det(state: np.ndarray, d: int) -> Union[float, np.ndarray]:
     """|det A| of the reshaped bipartite amplitude matrix.
 
     The state lives on a d x d tensor product with the first factor as the
     row index; 0 means a product state and d^(-d/2) maximal entanglement.
+    A stack of states (last axis of length d*d) gives an array of |det A|,
+    one per state; a single state gives a float.
     """
     state = np.asarray(state, dtype=complex)
-    if state.shape != (d * d,):
+    if state.ndim == 0 or state.shape[-1] != d * d:
         raise ValueError(f"state must have length {d * d}")
-    return float(abs(np.linalg.det(state.reshape(d, d))))
+    dets = np.abs(np.linalg.det(state.reshape(*state.shape[:-1], d, d)))
+    return float(dets) if state.ndim == 1 else dets
 
 
 # -- commuting classes and the sl(p) partition ------------------------------

@@ -27,16 +27,29 @@ A trace is a sum of k roots of unity exp(2*pi*i*e/N), decided exactly
 in one place, ``_decide`` (all equal, or cancelling under a shift N/p
 for a prime p of gcd(N, k)); any other sum is a float sum in row order.
 
-Families of monomial matrices have two batched kernels: ``trace_gram``
-(every tr(a^dag b), equal to ``trace_pair`` pair by pair, in one array
-pass) and ``pairwise_products`` (every a @ b as stacked arrays).
-``monomial`` and ``from_exponents`` check their input; builders whose
-columns are a permutation by construction call ``_from_monomial``.
+Families of monomial matrices, stacked by ``_stack`` over one common
+modulus, have two batched kernels: ``trace_gram`` (every tr(a^dag b),
+equal to ``trace_pair`` pair by pair, in one array pass) and
+``_products``, the one product kernel (mats[i] @ mats[j] for index
+arrays i and j; ``pairwise_products`` is it over every pair).  Moduli
+are minimal, so two stacked rows over one modulus are equal exactly when
+the matrices are.  ``monomial`` and ``from_exponents`` check their input;
+builders whose columns are a permutation by construction call
+``_from_monomial``.
+
+Every float view (``to_complex``, the float F_ra and the chirp of
+``qdft``) goes through ``_phase_array``.  For integer exponents mod
+N <= ``_ROOTS_LIMIT`` = 4096 it is one gather from ``_roots(N)``, a
+read-only table of the N-th roots built once by the formula; at most 64
+tables of at most 64 KB are cached, 4 MB in all.  Float exponents
+and larger N go through the formula, ``_phase_formula``, whose bytes
+the tables reproduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import cos, gcd, lcm, pi, sin, sqrt
 from typing import Iterator, Optional, Sequence, Union
 
@@ -93,7 +106,7 @@ def _phase_complex(e: Union[int, float], n: int) -> complex:
     return complex(cos(angle), sin(angle))
 
 
-def _phase_array(e: np.ndarray, n: int) -> np.ndarray:
+def _phase_formula(e: np.ndarray, n: int) -> np.ndarray:
     """exp(2*pi*i*e/n) over an array of exponents 0 <= e <= n, with the
     float operations of _phase_complex and its exact quarter turns.
 
@@ -107,6 +120,32 @@ def _phase_array(e: np.ndarray, n: int) -> np.ndarray:
     k = ((4 * e[quarter]) // n).astype(np.intp) % 4
     out.real[quarter], out.imag[quarter] = _QUARTER_RE[k], _QUARTER_IM[k]
     return out
+
+
+# moduli up to this one get a cached table of their roots: 64 KB each at
+# most, and at most _ROOTS_CACHED of them, so the cache holds 4 MB at most
+_ROOTS_LIMIT = 1 << 12
+_ROOTS_CACHED = 64
+
+
+@lru_cache(maxsize=_ROOTS_CACHED)
+def _roots(n: int) -> np.ndarray:
+    """The read-only table exp(2*pi*i*e/n) for e = 0..n-1, by _phase_formula."""
+    table = _phase_formula(np.arange(n), n)
+    table.flags.writeable = False
+    return table
+
+
+def _phase_array(e: np.ndarray, n: int) -> np.ndarray:
+    """exp(2*pi*i*e/n) over an array of exponents, as _phase_formula gives it.
+
+    Integer exponents 0 <= e < n with n <= _ROOTS_LIMIT are one gather
+    from the table _roots(n); float exponents, object arrays and larger
+    moduli go through the formula.
+    """
+    if n <= _ROOTS_LIMIT and e.dtype.kind in "iu":
+        return _roots(n)[e]
+    return _phase_formula(e, n)
 
 
 class ExactPhase:
@@ -172,13 +211,16 @@ def _decide(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     exponent leaves its multiset unchanged.  Such a shift has a multiple
     of prime order p, so p divides n, and its orbits have p members, so p
     divides k: the shifts n/p for the primes p of gcd(n, k) <= k are the
-    only ones to try, and trial division always factors gcd(n, k).
+    only ones to try, and trial division always factors gcd(n, k).  Each
+    row is sorted once: a multiset is invariant under n/p exactly when its
+    sorted row is p runs of k/p, each the one before plus n/p.
     """
     equal = (rows == rows[:, :1]).all(axis=1)
     cancel = np.zeros(len(rows), dtype=bool)
     srt = np.sort(rows, axis=1)
-    for p in _primes(gcd(n, rows.shape[1])):
-        cancel |= (np.sort((srt + n // p) % n, axis=1) == srt).all(axis=1)
+    k = rows.shape[1]
+    for p in _primes(gcd(n, k)):
+        cancel |= (srt[:, k // p:] == srt[:, :k - k // p] + n // p).all(axis=1)
     return equal, cancel
 
 
@@ -510,15 +552,23 @@ def trace_gram(mats: Sequence[PhaseMatrix]) -> Iterator[tuple[np.ndarray, np.nda
         yield i, j, traces
 
 
+def _products(n: int, cols: np.ndarray, exps: np.ndarray, i: np.ndarray,
+              j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column and the exponent mod n of every row of mats[i] @ mats[j],
+    for index arrays i and j of one shape, over the _stack (n, cols, exps)
+    of a family; the amplitude is left out.  The modulus of each matrix is
+    minimal, so two rows of stacks over one n are equal exactly when the
+    matrices are (for equal amplitudes)."""
+    # row r of a @ b sits in column b[a[r]], with exponent e_a[r] + e_b[a[r]]
+    through = cols[i]
+    return (np.take_along_axis(cols[j], through, axis=-1),
+            (exps[i] + np.take_along_axis(exps[j], through, axis=-1)) % n)
+
+
 def pairwise_products(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
     """Every product of a monomial family at once: (N, cols, exps), where
     cols[i, j] and exps[i, j] are the column and the exponent mod N of
     each row of mats[i] @ mats[j].  The amplitude is left out."""
     n, cols, exps = _stack(mats)
-    k, dim = cols.shape
-    # row r of a @ b sits in column b[a[r]], with exponent e_a[r] + e_b[a[r]]
-    through = np.broadcast_to(cols[:, None, :], (k, k, dim))
-    out_cols = np.take_along_axis(np.broadcast_to(cols[None], (k, k, dim)), through, axis=2)
-    out_exps = (exps[:, None, :]
-                + np.take_along_axis(np.broadcast_to(exps[None], (k, k, dim)), through, axis=2)) % n
-    return n, out_cols, out_exps
+    i, j = np.indices((len(cols), len(cols)))
+    return (n, *_products(n, cols, exps, i, j))

@@ -151,12 +151,11 @@ def _vra_monomial(k: int, r: Real = 0, a: int = 0) -> tuple[np.ndarray, np.ndarr
     qn = np.array(_q_numbers(k, k))[n]
     wrap_x = np.prod(rep.x_minus[n - 1, n] / qn)
     wrap_y = np.prod(rep.y_plus[n, n - 1] / qn)
-    # half_q[e] = exp(i pi e / k) = q^{e/2} for e = 0..2k-1
-    half_q = _phase_array(np.arange(2 * k), 2 * k)
     n1, n2 = np.divmod(np.arange(k * k), k)
     m1, m2 = (n1 + 1) % k, (n2 - 1) % k
-    weight_y = np.where(n2 > 0, half_q[-a * (n1 - n2) % (2 * k)], half * wrap_y)
-    weight_x = np.where(n1 < k - 1, half_q[a * (m1 + m2) % (2 * k)], half * wrap_x)
+    # q^{e/2} = exp(i pi e / k), e taken mod 2k
+    weight_y = np.where(n2 > 0, _phase_array(-a * (n1 - n2) % (2 * k), 2 * k), half * wrap_y)
+    weight_x = np.where(n1 < k - 1, _phase_array(a * (m1 + m2) % (2 * k), 2 * k), half * wrap_x)
     return m1 * k + m2, weight_x * weight_y
 
 

@@ -12,7 +12,14 @@ deterministic given the seed.
 To add an invariant, write a ``_Sweep`` method in its suite's section
 that yields its cases from ``self.d_max`` and, if it samples,
 ``self.rng``; decorate it with ``@_invariant("suite.name", tolerance)``,
-adding ``min_d_max`` if it needs a larger bound.
+adding ``min_d_max`` if it has no case below that bound.  A sampled
+check draws all its cases first, in the order of the per-case loop it
+stands for, so the generator's stream is that loop's; it then builds
+each distinct matrix once, with the library's builders, and decides
+every case in array passes: monomial identities as products on one
+``phases._stack`` (``_products_agree``), float ones on dense stacks.  An
+exact check yields one builtin bool per case; a float check may yield
+one residual per batch, ``np.max`` of it, which keeps nan.
 """
 
 from __future__ import annotations
@@ -21,13 +28,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from . import mub, qdft, quon, weyl, wigner
+from . import mub, phases, qdft, quon, weyl, wigner
 from .phases import PhaseMatrix, exponent_dtype, q_power
 
 __all__ = ["CheckResult", "INVARIANTS", "SUITES", "run_suite"]
@@ -113,6 +120,29 @@ def _basis_set_checks(ms: mub.MubSet) -> list[CheckResult]:
                                 _BASIS_TOLERANCE) for b in ms.bases]
 
 
+def _built(keys) -> tuple[list, np.ndarray]:
+    """f(*args) once for each distinct key (f, *args), in first-seen order,
+    and the position of every key among them."""
+    at: dict = {}
+    index = np.array([at.setdefault(key, len(at)) for key in keys], dtype=np.intp)
+    return [f(*args) for f, *args in at], index
+
+
+def _products_agree(mats: list[PhaseMatrix], index: np.ndarray) -> list[bool]:
+    """mats[i] @ mats[j] == mats[k] @ mats[l] for every row (i, j, k, l) of
+    index, as builtin bools, decided on one phases._stack of the unscaled
+    monomial family mats."""
+    n, cols, exps = phases._stack(mats)
+    i, j, k, l = index.reshape(-1, 4).T
+    (lc, le), (rc, re) = phases._products(n, cols, exps, i, j), phases._products(n, cols, exps, k, l)
+    return ((lc == rc).all(axis=1) & (le == re).all(axis=1)).tolist()
+
+
+def _sine_terms(m: tuple[int, int], n: tuple[int, int]) -> tuple[tuple[int, int], int]:
+    """(m + n, m x n): the label and the cross product of the sine-algebra rules."""
+    return (m[0] + n[0], m[1] + n[1]), m[0] * n[1] - m[1] * n[0]
+
+
 def _dra_cases(dims, rs):
     """(d, r, a) for every d in dims, r in rs and a = 0..d-1."""
     return ((d, r, a) for d in dims for r in rs for a in range(d))
@@ -196,12 +226,16 @@ class _Sweep:
 
     @_invariant("weyl.pauli_composition_law")
     def _pauli_composition_law(self):
+        # P(g) P(h) == I P(gh), 200 draws of g then h per d
+        rng, pauli = self.rng, weyl.pauli_element_matrix
         for d in self.upto(8):
+            keys = []
             for _ in range(200):
-                g = tuple(self.rng.randrange(d) for _ in range(3))
-                h = tuple(self.rng.randrange(d) for _ in range(3))
-                lhs = weyl.pauli_element_matrix(d, g) @ weyl.pauli_element_matrix(d, h)
-                yield lhs == weyl.pauli_element_matrix(d, weyl.pauli_compose(d, g, h))
+                g = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
+                h = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
+                keys += [(pauli, d, g), (pauli, d, h),
+                         (PhaseMatrix.identity, d), (pauli, d, weyl.pauli_compose(d, g, h))]
+            yield from _products_agree(*_built(keys))
 
     @cached_property
     def sine_draws(self) -> list:
@@ -211,15 +245,35 @@ class _Sweep:
                  (rng.randrange(2 * d), rng.randrange(2 * d)))
                 for d in self.upto(8) for _ in range(40)]
 
+    def sine_groups(self) -> Iterator[tuple[int, list]]:
+        """(d, its (m, n) draws) for each d of sine_draws."""
+        for d, cases in itertools.groupby(self.sine_draws, key=lambda case: case[0]):
+            yield d, [(m, n) for _, m, n in cases]
+
     @_invariant("weyl.sine_product_exact")
     def _sine_product_exact(self):
-        for d, m, n in self.sine_draws:
-            yield weyl.sine_product_check(d, m, n)
+        # T_m T_n == (q^{-(m x n)/2} I) T_{m+n}
+        for d, cases in self.sine_groups():
+            def phase(twice):
+                return PhaseMatrix.identity(d).scaled_by(q_power(2 * d, twice))
+            keys = []
+            for m, n in cases:
+                s, cross = _sine_terms(m, n)
+                keys += [(weyl.t_matrix, d, m), (weyl.t_matrix, d, n),
+                         (phase, -cross), (weyl.t_matrix, d, s)]
+            yield from _products_agree(*_built(keys))
 
     @_invariant("weyl.sine_commutator", 1e-12)
     def _sine_commutator(self):
-        for d, m, n in self.sine_draws:
-            yield weyl.sine_commutator_check(d, m, n)
+        # [T_m, T_n] = -2i sin(pi (m x n)/d) T_{m+n}, one dense stack per d
+        for d, cases in self.sine_groups():
+            terms = [_sine_terms(m, n) for m, n in cases]
+            labels = [m for m, _ in cases] + [n for _, n in cases] + [s for s, _ in terms]
+            mats, index = _built((weyl.t_matrix, d, s) for s in labels)
+            tm, tn, ts = np.array([t.to_complex() for t in mats])[index.reshape(3, -1)]
+            coeff = np.array([-2j * np.sin(np.pi * cross / d) for _, cross in terms])
+            gap = tm @ tn - tn @ tm - coeff[:, None, None] * ts
+            yield from np.max(np.abs(gap), axis=(1, 2)).tolist()
 
     @_invariant("weyl.dft_conjugates_shift_to_clock", 1e-10)
     def _dft_conjugates_shift_to_clock(self):
@@ -239,17 +293,23 @@ class _Sweep:
 
     @_invariant("weyl.sampled_large_dimension", min_d_max=9)
     def _sampled_large_dimension(self):
-        rng = self.rng
+        # X^m Z^n == (q^{mn} Z^n) X^m and P(g) P(h) == I P(gh), 25 draws of
+        # m, n, g, h per d
+        rng, pauli = self.rng, weyl.pauli_element_matrix
         for d in range(9, min(self.d_max, 16) + 1):
-            x, z = weyl.x_matrix(d), weyl.z_matrix(d)
+            x_pow, z_pow = cache(weyl.x_matrix(d).__pow__), cache(weyl.z_matrix(d).__pow__)
+
+            def z_phase(n, mn):
+                return z_pow(n).scaled_by(q_power(d, mn))
+            keys = []
             for _ in range(25):
                 m, n = rng.randrange(d), rng.randrange(d)
-                xm, zn = x ** m, z ** n
-                yield (xm @ zn) == (zn @ xm).scaled_by(q_power(d, m * n))
-                g = tuple(rng.randrange(d) for _ in range(3))
-                h = tuple(rng.randrange(d) for _ in range(3))
-                lhs = weyl.pauli_element_matrix(d, g) @ weyl.pauli_element_matrix(d, h)
-                yield lhs == weyl.pauli_element_matrix(d, weyl.pauli_compose(d, g, h))
+                g = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
+                h = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
+                keys += [(x_pow, m), (z_pow, n), (z_phase, n, m * n), (x_pow, m),
+                         (pauli, d, g), (pauli, d, h),
+                         (PhaseMatrix.identity, d), (pauli, d, weyl.pauli_compose(d, g, h))]
+            yield from _products_agree(*_built(keys))
 
     # -- qdft ----------------------------------------------------------------
 
@@ -412,18 +472,22 @@ class _Sweep:
                 for c in _basis_set_checks(mub.mub_prime(p, r)):
                     yield c.residual
 
-    @_invariant("mub.gauss_two_route", 1e-10)
+    @_invariant("mub.gauss_two_route", 1e-10, min_d_max=3)
     def _gauss_two_route(self):
-        rng = self.rng
+        # every <a alpha|b beta>, a != b, of the p Fourier bases: one Gram,
+        # against one Gauss sum per pair of differences (a - b, alpha - beta)
         for p in [q for q in self.primes if q > 2]:
-            ms = mub.mub_prime(p, 0)
-            for _ in range(500):
-                a, b = rng.choice(p, size=2, replace=False)
-                alpha, beta = rng.integers(0, p, size=2)
-                direct = complex(np.vdot(ms.bases[a].column(alpha),
-                                         ms.bases[b].column(beta)))
-                closed = mub.gauss_inner_product(p, 0, int(a), int(alpha), int(b), int(beta))
-                yield abs(direct - closed)
+            # the Gauss sums before the Gram: on an AVX-512 x86-64 host with
+            # OpenBLAS, cmath.exp ran up to 6x slower right after a complex @
+            diffs = range(1 - p, p)
+            closed = np.array([[mub.gauss_inner_product(p, 0, max(u, 0), max(v, 0),
+                                                        max(u, 0) - u, max(v, 0) - v)
+                                if u else np.nan for v in diffs] for u in diffs])
+            vecs = np.array([b.vectors for b in mub.mub_prime(p, 0).bases[:p]])
+            direct = vecs.conj().transpose(0, 2, 1)[:, None] @ vecs[None]
+            a, b, alpha, beta = np.ogrid[:p, :p, :p, :p]
+            gap = np.abs(direct - closed[a - b + p - 1, alpha - beta + p - 1])
+            yield float(np.max(gap[~np.eye(p, dtype=bool)]))
 
     @_invariant("mub.composite_three_mub", 1e-10)
     def _composite_three_mub(self):
@@ -452,12 +516,12 @@ class _Sweep:
 
     @_invariant("mub.entanglement_bound", 1e-12)
     def _entanglement_bound(self):
-        rng = self.rng
+        # 1000 states per d, each drawn as its real parts, then its imaginary ones
         for d in (2, 3):
-            for _ in range(1000):
-                v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-                v /= np.linalg.norm(v)
-                yield max(0.0, mub.entanglement_det(v, d) - d ** (-d / 2))
+            x = self.rng.normal(size=(1000, 2, d * d))
+            v = x[:, 0] + 1j * x[:, 1]
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            yield float(np.max(np.maximum(mub.entanglement_det(v, d) - d ** (-d / 2), 0.0)))
 
     @_invariant("mub.sl_partition")
     def _sl_partition(self):

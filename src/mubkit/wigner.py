@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .phases import _phase_complex
+from .phases import _phase_array, _phase_complex
 
 __all__ = [
     "wigner_3jm",
@@ -160,8 +160,7 @@ def _phase_table(two_j: int, sign: int, alphas) -> np.ndarray:
     """(q_j)^{sign (j+m) alpha}, q_j = exp(2*pi*i/(2j+1)), at row j+m and one
     column per alpha; exact on quarter turns."""
     d = two_j + 1
-    roots = np.array([_phase_complex(e, d) for e in range(d)])
-    return roots[sign * np.outer(np.arange(d), alphas) % d]
+    return _phase_array(sign * np.outer(np.arange(d), alphas) % d, d)
 
 
 _FBAR_SIGNS = (-1, -1, -1)

@@ -213,17 +213,25 @@ def test_entanglement_det_bell_state():
 
 
 def test_entanglement_det_length_check():
-    with pytest.raises(ValueError):
-        entanglement_det(np.ones(5), 2)
+    for state in (np.ones(5), np.ones((3, 5)), 1.0):
+        with pytest.raises(ValueError):
+            entanglement_det(state, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_entanglement_det_bound_random_states(d):
     rng = np.random.default_rng(d)
+    states, dets = [], []
     for _ in range(1000):
         v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
         v /= np.linalg.norm(v)
-        assert entanglement_det(v, d) <= d ** (-d / 2) + 1e-12
+        states.append(v)
+        dets.append(entanglement_det(v, d))
+        assert dets[-1] <= d ** (-d / 2) + 1e-12
+    # a stack of states gives the same value for each, as an array
+    stacked = entanglement_det(np.array(states).reshape(10, 100, d * d), d)
+    assert type(dets[0]) is float and stacked.shape == (10, 100)
+    assert stacked.ravel().tolist() == dets
 
 
 # -- commuting classes and the sl(p) partition -------------------------------

@@ -380,19 +380,32 @@ def test_trace_gram_equals_trace_pair_for_every_pair(mats):
             assert value == want and repr(value) == repr(want)
 
 
+def assert_product_rows(n, cols, exps, a, b):
+    """cols and exps, over the modulus n, are the rows of a @ b."""
+    if a.scaled and b.scaled:
+        return  # a @ b raises: its amplitude would be 1/dim
+    prod = a @ b
+    pc, pe = prod.monomial_view
+    assert tuple(cols.tolist()) == pc
+    assert [Fraction(int(e), n) for e in exps] == [Fraction(e, prod.modulus) for e in pe]
+
+
 @PROPERTY_SETTINGS
-@given(monomial_families())
-def test_pairwise_products_equal_matmul(mats):
+@given(monomial_families(), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                     max_size=12))
+def test_pairwise_products_equal_matmul(mats, pairs):
     n, cols, exps = pairwise_products(mats)
     for x, a in enumerate(mats):
         for y, b in enumerate(mats):
-            if a.scaled and b.scaled:
-                continue  # a @ b raises: its amplitude would be 1/dim
-            prod = a @ b
-            pc, pe = prod.monomial_view
-            assert tuple(cols[x, y].tolist()) == pc
-            assert [Fraction(int(e), n) for e in exps[x, y]] == [Fraction(e, prod.modulus)
-                                                                for e in pe]
+            assert_product_rows(n, cols[x, y], exps[x, y], a, b)
+    # the stacked kernel under both, at index pairs in any order, repeats included
+    i = np.array([x % len(mats) for x, _ in pairs], dtype=np.intp)
+    j = np.array([y % len(mats) for _, y in pairs], dtype=np.intp)
+    n, cols, exps = phases._stack(mats)
+    got_cols, got_exps = phases._products(n, cols, exps, i, j)
+    assert got_cols.shape == got_exps.shape == (len(pairs), mats[0].dim)
+    for c, (x, y) in enumerate(zip(i.tolist(), j.tolist())):
+        assert_product_rows(n, got_cols[c], got_exps[c], mats[x], mats[y])
 
 
 @pytest.mark.parametrize("d", range(1, 14))

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mubkit.phases import (ExactPhase, PhaseMatrix, _phase_array, _phase_complex, q_power,
-                           trace_pair)
+from mubkit.phases import (_QUARTER, _ROOTS_LIMIT, ExactPhase, PhaseMatrix, _phase_array,
+                           _phase_complex, _phase_formula, _roots, q_power, trace_pair)
 from mubkit.qdft import fra_matrix
 from mubkit.weyl import x_matrix, z_matrix
 
@@ -64,11 +64,39 @@ def test_to_complex_special_values():
 
 
 def test_quarter_turns_have_equal_bytes_on_both_routes():
-    # ExactPhase.to_complex and PhaseMatrix.to_complex read one table, so
-    # the 3/4 turn is 0.0 - 1.0i on both, its real part +0.0
-    for e in range(4):
-        assert (np.asarray(_phase_complex(e, 4)).tobytes()
-                == _phase_array(np.array([e]), 4)[0].tobytes())
+    # ExactPhase.to_complex and PhaseMatrix.to_complex read one quarter
+    # table, below the roots-table bound and above it, so the 3/4 turn is
+    # 0.0 - 1.0i on both, its real part +0.0
+    for n in (4, 12, _ROOTS_LIMIT, 4 * _ROOTS_LIMIT + 4):
+        for k in range(4):
+            e, want = k * n // 4, np.asarray(_QUARTER[k]).tobytes()
+            assert np.asarray(_phase_complex(e, n)).tobytes() == want
+            assert _phase_array(np.array([e]), n)[0].tobytes() == want
+
+
+def test_phase_array_equals_the_formula_bytes():
+    # the roots table is the formula over arange(n), so a gather from it
+    # gives the formula's bytes; larger moduli and float exponents go
+    # through the formula itself
+    rng = np.random.default_rng(19)
+    for _ in range(600):
+        n = int(rng.integers(1, 3 * _ROOTS_LIMIT))
+        e = rng.integers(0, n, size=int(rng.integers(1, 40)))
+        for exps in (e, e.astype(float) * (1 - 1e-3)):
+            assert _phase_array(exps, n).tobytes() == _phase_formula(exps, n).tobytes()
+    e = np.arange(30).reshape(5, 6)
+    assert _phase_array(e, 30).shape == (5, 6)
+    assert _phase_array(e, 30).tobytes() == _phase_formula(e, 30).tobytes()
+
+
+def test_roots_table_is_read_only_and_a_gather_is_a_copy():
+    table = _roots(12)
+    assert table is _roots(12) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0
+    out = _phase_array(np.array([1, 2]), 12)
+    out[0] = 0
+    assert table[1] == _phase_formula(np.array([1]), 12)[0]
 
 
 def test_to_complex_unit_modulus():
