@@ -26,16 +26,20 @@ product.  Exponents are int64 while every sum of two of them stays below
 A trace is a sum of k roots of unity exp(2*pi*i*e/N), decided exactly
 in one place, ``_decide`` (all equal, or cancelling under a shift N/p
 for a prime p of gcd(N, k)); any other sum is a float sum in row order.
+``_complex_sums`` takes such sums row by row, one ``_decide`` pass for
+all of them; ``trace_pair`` calls it on one row.
 
 Families of monomial matrices, stacked by ``_stack`` over one common
 modulus, have two batched kernels: ``trace_gram`` (every tr(a^dag b),
 equal to ``trace_pair`` pair by pair, in one array pass) and
 ``_products``, the one product kernel (mats[i] @ mats[j] for index
-arrays i and j; ``pairwise_products`` is it over every pair).  Moduli
-are minimal, so two stacked rows over one modulus are equal exactly when
-the matrices are.  ``monomial`` and ``from_exponents`` check their input;
-builders whose columns are a permutation by construction call
-``_from_monomial``.
+arrays i and j; ``pairwise_products`` is it over every pair).  Families
+of full matrices stack by ``_stack_full``, and ``_stack_complex`` is the
+float view of a family of either shape with the bytes of ``to_complex``.
+Moduli are minimal, so two stacked rows over one modulus are equal
+exactly when the matrices are.  ``monomial`` and ``from_exponents``
+check their input; builders whose columns are a permutation by
+construction call ``_from_monomial``.
 
 Every float view (``to_complex``, the float F_ra and the chirp of
 ``qdft``) goes through ``_phase_array``.  For integer exponents mod
@@ -224,16 +228,27 @@ def _decide(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return equal, cancel
 
 
+def _complex_sums(rows: np.ndarray, n: int) -> list[complex]:
+    """sum(exp(2*pi*i*e/n) for e in row) for each row of k >= 1 exponents
+    0 <= e < n, decided in one _decide pass: exact where it decides the
+    row, else summed with _phase_complex in row order."""
+    equal, cancel = _decide(rows, n)
+    sums = []
+    for row, eq, zero in zip(rows.tolist(), equal.tolist(), cancel.tolist()):
+        if eq:
+            sums.append(len(row) * _phase_complex(row[0], n))
+        elif zero:
+            sums.append(0j)
+        else:
+            sums.append(sum(_phase_complex(e, n) for e in row))
+    return sums
+
+
 def _complex_sum(exps: Sequence[int], n: int) -> complex:
-    """sum(exp(2*pi*i*e/n) for e in exps), 0 <= e < n; exact where _decide decides it."""
+    """sum(exp(2*pi*i*e/n) for e in exps), 0 <= e < n: _complex_sums of one row."""
     if not exps:
         return 0j
-    (equal,), (cancel,) = _decide(np.array([exps], dtype=exponent_dtype(n)), n)
-    if equal:
-        return len(exps) * _phase_complex(exps[0], n)
-    if cancel:
-        return 0j
-    return sum(_phase_complex(e, n) for e in exps)
+    return _complex_sums(np.array([exps], dtype=exponent_dtype(n)), n)[0]
 
 
 class PhaseMatrix:
@@ -442,15 +457,23 @@ class PhaseMatrix:
             e = np.array(exps, dtype=exponent_dtype(n))
         else:
             where, e = ..., self._exps
-        # the same float operations as ExactPhase.to_complex, one array pass
-        phases = _phase_array(e, n)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out.real[where] = self.amplitude * phases.real
-        out.imag[where] = self.amplitude * phases.imag
-        return out
+        return _dense((self.dim, self.dim), where, _phase_array(e, n), self)
 
     def trace(self) -> complex:
         return trace_pair(PhaseMatrix.identity(self.dim), self)
+
+
+def _dense(shape: tuple, where, phases: np.ndarray, like: PhaseMatrix) -> np.ndarray:
+    """A complex array of zeros with phases at where, times the amplitude
+    of like when scaled: the float operations of ExactPhase.to_complex
+    (1.0 * x is x, so an unscaled matrix needs no product)."""
+    out = np.zeros(shape, dtype=complex)
+    if like.scaled:
+        out.real[where] = like.amplitude * phases.real
+        out.imag[where] = like.amplitude * phases.imag
+    else:
+        out[where] = phases
+    return out
 
 
 # the slot setters, which bypass PhaseMatrix.__setattr__ in _new
@@ -502,6 +525,36 @@ def _stack(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
     exps = np.array([m._mono[1] for m in mats], dtype=dt).reshape(len(mats), dim)
     scale = np.array([n // m.modulus for m in mats], dtype=dt)
     return n, cols, exps * scale[:, None]
+
+
+def _stack_full(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray]:
+    """Common modulus N of a nonempty family of full matrices, and their
+    exponents mod N as one len(mats) x dim x dim array."""
+    if any(m._exps is None for m in mats):
+        raise ValueError("a full stack needs full matrices")
+    if len({m.dim for m in mats}) > 1:
+        raise ValueError("dimension mismatch")
+    n = lcm(*(m.modulus for m in mats))
+    dt = exponent_dtype(n)
+    scale = np.array([n // m.modulus for m in mats], dtype=dt)
+    return n, np.array([m._exps for m in mats], dtype=dt) * scale[:, None, None]
+
+
+def _stack_complex(mats: Sequence[PhaseMatrix]) -> np.ndarray:
+    """np.array([m.to_complex() for m in mats]), with its bytes, for a
+    nonempty family of one dim, one shape and one amplitude: one
+    _phase_array pass over the family's common modulus.  A root e/N over
+    the minimal modulus is e s / (N s) over a multiple of it, and float
+    division rounds both quotients alike, so the bytes are equal."""
+    if len({m.scaled for m in mats}) > 1:
+        raise ValueError("a dense stack needs one amplitude")
+    if mats[0]._mono is None:
+        n, exps = _stack_full(mats)
+        return _dense(exps.shape, ..., _phase_array(exps, n), mats[0])
+    n, cols, exps = _stack(mats)
+    count, dim = cols.shape
+    where = (np.arange(count)[:, None], np.arange(dim), cols)
+    return _dense((count, dim, dim), where, _phase_array(exps, n), mats[0])
 
 
 def trace_gram(mats: Sequence[PhaseMatrix]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

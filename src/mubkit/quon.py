@@ -17,6 +17,9 @@ generator entries of :func:`quon_rep` and the s_x, s_y formulas of
 length k^2, and its spin-j block is read from k of those entries, so the
 su(2) triple needs O(k^2) work and memory; h is kept as its diagonal.
 The dense k^2 x k^2 matrix is built only by :func:`build_vra_quonic`.
+The private builders take a as an int or as an integer array: one
+formula, whose weights, blocks and triples stack along the leading axes
+of a, so a family a = 0..k-1 costs one call.
 
 The spin label m and the computational index n are tied by n = j - m,
 so index 0 is the highest-weight state.
@@ -131,9 +134,21 @@ def build_h(k: int) -> np.ndarray:
     return np.sqrt(n1 * (n2 + 1.0))
 
 
-def _vra_monomial(k: int, r: Real = 0, a: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """v_ra as (dest, weight): v_ra |i) = weight[i] |dest[i]) for every
-    flat index i of the tensor space.
+def _stack_a(k: int, a) -> np.ndarray:
+    """a mod k as an array: an int, checked as qdft checks it, or an array
+    of an integer dtype, one stacked value per entry."""
+    if isinstance(a, np.ndarray):
+        if a.dtype.kind not in "iu":
+            raise TypeError("a must be an integer")
+        return a % k
+    return np.asarray(qdft._checked_a(k, a))
+
+
+def _vra_monomial(k: int, r: Real = 0, a=0) -> tuple[np.ndarray, np.ndarray]:
+    """v_ra as (dest, weight): v_ra |i) = weight[..., i] |dest[i]) for every
+    flat index i of the tensor space.  a is an int, or an integer array of
+    a values that weight stacks along its leading axes: weight has shape
+    np.shape(a) + (k^2,), and dest does not depend on a.
 
     s_y takes |n1, n2) to |n1, n2-1) with q^{-a(n1-n2)/2}, its phase
     taken at the source, except that its wrap term takes |n1, 0) to
@@ -145,7 +160,7 @@ def _vra_monomial(k: int, r: Real = 0, a: int = 0) -> tuple[np.ndarray, np.ndarr
     where [k-1]_q! overflows (k above about 200).
     """
     rep = quon_rep(k)
-    a = a % k
+    a = _stack_a(k, a)[..., None]
     half = cmath.exp(1j * pi * (k - 1) * float(r) / 2)
     n = np.arange(1, k)
     qn = np.array(_q_numbers(k, k))[n]
@@ -205,22 +220,24 @@ def restrict_to_j(op: np.ndarray, j: Real) -> np.ndarray:
 
 
 def _restrict_monomial(dest: np.ndarray, weight: np.ndarray, j: Real) -> np.ndarray:
-    """:func:`restrict_to_j` of the monomial |i) -> weight[i] |dest[i]),
-    read from its k entries on the spin-j subspace."""
+    """:func:`restrict_to_j` of the monomial |i) -> weight[..., i] |dest[i]),
+    read from its k entries on the spin-j subspace; leading axes of weight
+    stack monomials of one dest, and give k x k blocks stacked alike."""
     k = _two_j(j) + 1
     flat = _spin_indices(k)
     n1, n2 = np.divmod(dest[flat], k)
-    w = weight[flat]
+    w = weight[..., flat]
     inside = n1 + n2 == k - 1
-    _check_leak(float(np.max(np.abs(w[~inside]), initial=0.0)))
+    _check_leak(float(np.max(np.abs(w[..., ~inside]), initial=0.0)))
     # |k-1-n, n) is subspace index n = n2
-    out = np.zeros((k, k), dtype=complex)
-    out[n2[inside], np.flatnonzero(inside)] = w[inside]
+    out = np.zeros(w.shape[:-1] + (k, k), dtype=complex)
+    out[..., n2[inside], np.flatnonzero(inside)] = w[..., inside]
     return out
 
 
-def _vra_block(k: int, r: Real = 0, a: int = 0) -> np.ndarray:
-    """v_ra on the spin-j subspace, j = (k-1)/2: a k x k matrix."""
+def _vra_block(k: int, r: Real = 0, a=0) -> np.ndarray:
+    """v_ra on the spin-j subspace, j = (k-1)/2: a k x k matrix, stacked
+    along leading axes for an integer array a as in :func:`_vra_monomial`."""
     return _restrict_monomial(*_vra_monomial(k, r, a), Fraction(k - 1, 2))
 
 
@@ -235,16 +252,21 @@ class Su2Triple:
     a: int
 
 
-def su2_generators(j: Real, r: Real = 0, a: int = 0) -> Su2Triple:
-    """j_+ = h v, j_- = v^dag h, j_z = (h^2 - v^dag h^2 v)/2 on the spin-j space."""
-    two_j = _two_j(j)
-    k = two_j + 1
+def _su2_triple(k: int, r: Real, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j_+, j_-, j_z) = (h v, v^dag h, (h^2 - v^dag h^2 v)/2) on the spin-j
+    space, k = 2j+1, stacked over a as :func:`_vra_block` is."""
     h = build_h(k)[_spin_indices(k)]
     v = _vra_block(k, r, a)
     h2 = h * h
-    v_dag = v.conj().T
-    return Su2Triple(h[:, None] * v, v_dag * h, (np.diag(h2) - v_dag @ (h2[:, None] * v)) / 2,
-                     r, a % k)
+    v_dag = np.swapaxes(v.conj(), -1, -2)
+    return h[:, None] * v, v_dag * h, (np.diag(h2) - v_dag @ (h2[:, None] * v)) / 2
+
+
+def su2_generators(j: Real, r: Real = 0, a: int = 0) -> Su2Triple:
+    """j_+ = h v, j_- = v^dag h, j_z = (h^2 - v^dag h^2 v)/2 on the spin-j space."""
+    k = _two_j(j) + 1
+    a = qdft._checked_a(k, a)
+    return Su2Triple(*_su2_triple(k, r, a), r, a)
 
 
 def eigenbasis(j: Real, r: Real = 0, a: int = 0) -> list[np.ndarray]:
@@ -301,10 +323,11 @@ def rotation_conjugation_residual(j: Real, r: Real, a: int, p: int) -> float:
     two_j = _two_j(j)
     d = two_j + 1
     v = _vra_block(d, r, a)
-    # component n corresponds to m = j - n
+    # component n corresponds to m = j - n; every cmath call comes before
+    # the complex @, after which cmath ran up to 6x slower on one host
     diag = np.array([cmath.exp(-2j * pi * p * (two_j - 2 * n) / (2 * d))
                      for n in range(d)])
+    rhs = cmath.exp(-2j * pi * p / d) * v
     rot = np.diag(diag)
     lhs = rot @ v @ rot.conj().T
-    rhs = cmath.exp(-2j * pi * p / d) * v
     return float(np.max(np.abs(lhs - rhs)))

@@ -12,21 +12,29 @@ deterministic given the seed.
 To add an invariant, write a ``_Sweep`` method in its suite's section
 that yields its cases from ``self.d_max`` and, if it samples,
 ``self.rng``; decorate it with ``@_invariant("suite.name", tolerance)``,
-adding ``min_d_max`` if it has no case below that bound.  A sampled
-check draws all its cases first, in the order of the per-case loop it
-stands for, so the generator's stream is that loop's; it then builds
-each distinct matrix once, with the library's builders, and decides
-every case in array passes: monomial identities as products on one
-``phases._stack`` (``_products_agree``), float ones on dense stacks.  An
-exact check yields one builtin bool per case; a float check may yield
-one residual per batch, ``np.max`` of it, which keeps nan.
+adding ``min_d_max`` if it has no case below that bound.  Every matrix
+comes from the library's builders through the sweep memo
+(``_Sweep.built``, keyed by (builder, *args)), so each distinct matrix
+is built once per sweep and checks share it.  A sampled check draws all
+its cases first, in the order of the per-case loop it stands for, so
+the generator's stream is that loop's.  An exhaustive (d, r, a) sweep
+takes one (d, r) family at a time: ``_Sweep.family`` gives its members
+for a = 0..d-1, and the check decides them on stacks over a.  Cases are
+decided in array passes: monomial identities as products on one
+``phases._stack`` (``_products_agree``), full exact ones as exponent
+stacks over the family's common modulus (``phases._stack_full``), float
+ones on dense ``(A, d, d)`` stacks (``phases._stack_complex``) with one
+stacked ``@``.  Undecided exact sums go through ``phases._complex_sums``
+in row order, as ``trace_pair`` sums them.  An exact check yields one
+builtin bool per case; a float check may yield one residual per batch,
+``np.max`` of it, which keeps nan.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
@@ -72,39 +80,70 @@ def _invariant(name: str, tolerance: float = 0.0, min_d_max: int = 0):
     return register
 
 
-def _row_symmetry_holds(f: PhaseMatrix, d: int, r, a: int) -> bool:
-    """The row symmetry of f = F_ra (d >= 2), lead = (d-1)(r+a)/2:
-    row n-1 is row n times q^{lead - alpha + n a} for n = 1..d-1, and row
-    d-1 is row 0 times q^{lead - alpha} e^{-i pi (d-1) r}.
+def _row_symmetries(e: np.ndarray, n: int, d: int, r, a: np.ndarray) -> np.ndarray:
+    """The row symmetry of each F_ra (d >= 2) of a stack, as a bool mask:
+    e holds their exponents mod n, one d x d array per entry of the
+    integer array a.  With lead = (d-1)(r+a)/2, row n-1 is row n times
+    q^{lead - alpha + n a} for n = 1..d-1, and row d-1 is row 0 times
+    q^{lead - alpha} e^{-i pi (d-1) r}.
 
     With r = u/v and w = 2dv, every phase involved is q^{x/(2v)}, the
-    turn x/w, so both sides are exponents over M = lcm(N, w) and rows
+    turn x/w, so both sides are exponents over M = lcm(n, w) and rows
     compare as integer arrays.
     """
     r = Fraction(r)
     u, v = r.numerator, r.denominator
     w = 2 * d * v
-    m = lcm(f.modulus, w)
+    m = lcm(n, w)
     dt = exponent_dtype(m)
-    e = f.exponents.astype(dt) * (m // f.modulus)
+    e = e.astype(dt) * (m // n)
+    a = np.asarray(a, dtype=dt)[:, None, None]
     # q^{lead - alpha} for every column alpha, as x/(2v); reducing x mod w
     # before scaling keeps every term below M
     x = (d - 1) * (u + a * v) - 2 * v * np.arange(d, dtype=dt)
-    n = np.arange(1, d, dtype=dt)[:, None]
-    step = (x + 2 * v * a * n) % w * (m // w)
-    corner = x % w * (m // w) + (-(d - 1) * u) % (2 * v) * (m // (2 * v))
-    return bool(np.all((e[:-1] - e[1:] - step) % m == 0)
-                and np.all((e[-1] - e[0] - corner) % m == 0))
+    rows = np.arange(1, d, dtype=dt)[:, None]
+    step = (x + 2 * v * a * rows) % w * (m // w)
+    corner = x[:, 0] % w * (m // w) + (-(d - 1) * u) % (2 * v) * (m // (2 * v))
+    return ((e[:, :-1] - e[:, 1:] - step) % m == 0).all(axis=(1, 2)) & (
+        (e[:, -1] - e[:, 0] - corner) % m == 0).all(axis=1)
+
+
+def _row_symmetry_holds(f: PhaseMatrix, d: int, r, a: int) -> bool:
+    """The row symmetry of one F_ra: _row_symmetries of a stack of one."""
+    return bool(_row_symmetries(f.exponents[None], f.modulus, d, r, [a])[0])
+
+
+def _lambda_ra(d: int, r, a: int) -> PhaseMatrix:
+    """Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha}) = q^{(d-1)(r+a)/2} Z^{-1}."""
+    r = Fraction(r)
+    u, v = r.numerator, r.denominator
+    return weyl._shift_clock(d, 0, -1, (d - 1) * (u + a * v), 2 * v)
+
+
+def _diagonalizes(vs: list[PhaseMatrix], hs: list[PhaseMatrix],
+                  lams: list[PhaseMatrix]) -> np.ndarray:
+    """vs[i] @ hs[i] == hs[i] @ lams[i] exactly for each i, as a bool mask:
+    monomial vs and lams, full hs, all stacked over one modulus.  Row r
+    of V @ H is V's phase plus row V_c[r] of H; column k of H @ Lambda
+    is Lambda's phase plus column k of H, moved to column Lambda_c[k]."""
+    (nv, vc, ve), (nl, lc, le) = phases._stack(vs), phases._stack(lams)
+    nh, he = phases._stack_full(hs)
+    n = lcm(nv, nl, nh)
+    dt = exponent_dtype(n)
+    ve, le, he = (x.astype(dt) * (n // nx) for x, nx in ((ve, nv), (le, nl), (he, nh)))
+    lhs = (ve[:, :, None] + np.take_along_axis(he, vc[:, :, None], axis=1)) % n
+    rhs = np.empty_like(he)
+    np.put_along_axis(rhs, np.broadcast_to(lc[:, None, :], he.shape),
+                      (he + le[:, None, :]) % n, axis=2)
+    amplitudes = np.array([(v.scaled or h.scaled) == (h.scaled or l.scaled)
+                           for v, h, l in zip(vs, hs, lams)])
+    return (lhs == rhs).all(axis=(1, 2)) & amplitudes
 
 
 def _diagonalizes_vra(h: PhaseMatrix, d: int, r, a: int) -> bool:
-    """V_ra @ h == h @ Lambda_ra exactly, Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha})
-    = q^{(d-1)(r+a)/2} Z^{-1}: h = H_ra is the eigenvector matrix of V_ra,
-    column alpha to that eigenvalue."""
-    r = Fraction(r)
-    u, v = r.numerator, r.denominator
-    lam = weyl._shift_clock(d, 0, -1, (d - 1) * (u + a * v), 2 * v)
-    return weyl.vra_matrix(d, r, a) @ h == h @ lam
+    """V_ra @ h == h @ Lambda_ra exactly: h = H_ra is the eigenvector
+    matrix of V_ra, column alpha to that eigenvalue."""
+    return bool(_diagonalizes([weyl.vra_matrix(d, r, a)], [h], [_lambda_ra(d, r, a)])[0])
 
 
 _BASIS_TOLERANCE = 1e-10
@@ -120,22 +159,32 @@ def _basis_set_checks(ms: mub.MubSet) -> list[CheckResult]:
                                 _BASIS_TOLERANCE) for b in ms.bases]
 
 
-def _built(keys) -> tuple[list, np.ndarray]:
-    """f(*args) once for each distinct key (f, *args), in first-seen order,
-    and the position of every key among them."""
-    at: dict = {}
-    index = np.array([at.setdefault(key, len(at)) for key in keys], dtype=np.intp)
-    return [f(*args) for f, *args in at], index
-
-
-def _products_agree(mats: list[PhaseMatrix], index: np.ndarray) -> list[bool]:
-    """mats[i] @ mats[j] == mats[k] @ mats[l] for every row (i, j, k, l) of
-    index, as builtin bools, decided on one phases._stack of the unscaled
+def _products_agree(mats: list[PhaseMatrix], index: np.ndarray, turns=()) -> list[bool]:
+    """mats[i] @ mats[j] == (mats[k] @ mats[l]) * exp(2 pi i t) for every
+    row (i, j, k, l) of index and its turn t from turns (0 if turns is
+    empty), as builtin bools, decided on one phases._stack of the unscaled
     monomial family mats."""
     n, cols, exps = phases._stack(mats)
     i, j, k, l = index.reshape(-1, 4).T
     (lc, le), (rc, re) = phases._products(n, cols, exps, i, j), phases._products(n, cols, exps, k, l)
+    if turns:
+        turns = [Fraction(t) for t in turns]
+        m = lcm(n, *(t.denominator for t in turns))
+        dt = exponent_dtype(m)
+        shift = np.array([t.numerator * (m // t.denominator) % m for t in turns], dtype=dt)
+        scale = m // n
+        le, re = le.astype(dt) * scale, (re.astype(dt) * scale + shift[:, None]) % m
     return ((lc == rc).all(axis=1) & (le == re).all(axis=1)).tolist()
+
+
+def _traces(mats: list[PhaseMatrix]) -> list[complex]:
+    """m.trace() for each full matrix m of a family of one dim, with its
+    bytes: the diagonals over one modulus, summed by one
+    phases._complex_sums pass as trace_pair sums them (its factor 1.0,
+    the identity's amplitude, changes no bit)."""
+    n, exps = phases._stack_full(mats)
+    sums = phases._complex_sums(np.diagonal(exps, axis1=1, axis2=2), n)
+    return [m.amplitude * s for m, s in zip(mats, sums)]
 
 
 def _sine_terms(m: tuple[int, int], n: tuple[int, int]) -> tuple[tuple[int, int], int]:
@@ -143,9 +192,17 @@ def _sine_terms(m: tuple[int, int], n: tuple[int, int]) -> tuple[tuple[int, int]
     return (m[0] + n[0], m[1] + n[1]), m[0] * n[1] - m[1] * n[0]
 
 
-def _dra_cases(dims, rs):
-    """(d, r, a) for every d in dims, r in rs and a = 0..d-1."""
-    return ((d, r, a) for d in dims for r in rs for a in range(d))
+def _family(f, d: int, r) -> list:
+    """[f(d, r, a) for a = 0..d-1]: one (d, r) family of an exhaustive sweep."""
+    return [f(d, r, a) for a in range(d)]
+
+
+def _vra_blocks(k: int, r) -> np.ndarray:
+    """quon's spin-j block of v_ra, k = 2j+1, for a = 0..k-1 as one
+    read-only stack, which the checks share through the sweep memo."""
+    blocks = quon._vra_block(k, r, np.arange(k))
+    blocks.flags.writeable = False
+    return blocks
 
 
 _COUPLING_TWO_J = 4
@@ -173,6 +230,7 @@ class _Sweep:
     suite: str
     d_max: int
     rng: Union[random.Random, np.random.Generator, None] = None
+    memo: dict = field(default_factory=dict, repr=False)
 
     def run(self) -> list[CheckResult]:
         return [self.check(inv) for inv in INVARIANTS
@@ -189,6 +247,27 @@ class _Sweep:
 
     def upto(self, cap: int) -> range:
         return range(2, min(self.d_max, cap) + 1)
+
+    def built(self, keys) -> tuple[list, np.ndarray]:
+        """f(*args) for each distinct key (f, *args), in first-seen order,
+        and the position of every key among them.  The sweep memo builds
+        each matrix once per sweep, so checks share what they build."""
+        at: dict = {}
+        index = np.array([at.setdefault(key, len(at)) for key in keys], dtype=np.intp)
+        memo = self.memo
+        for key in at:
+            if key not in memo:
+                memo[key] = key[0](*key[1:])
+        return [memo[key] for key in at], index
+
+    def one(self, f, *args):
+        """f(*args), built once per sweep."""
+        return self.built([(f, *args)])[0][0]
+
+    def family(self, f, d: int, r) -> list:
+        """[f(d, r, a) for a = 0..d-1], built once per sweep: one memo key
+        per family, so r, often a Fraction, is hashed once per lookup."""
+        return self.one(_family, f, d, r)
 
     # -- weyl ----------------------------------------------------------------
 
@@ -208,16 +287,38 @@ class _Sweep:
 
     @_invariant("weyl.vra_q_commutation")
     def _vra_q_commutation(self):
-        for d, r, a in _dra_cases(self.upto(8), (0, 1, Fraction(1, 4))):
-            first, second = weyl.vra_q_commutation_checks(d, r, a)
-            yield first and second
+        # vra_q_commutation_checks for every a of a (d, r) family at once:
+        # V_ra Z == (Z V_ra) q and V_ra V_r0 == (V_r0 V_ra) q^{-a}
+        for d, r in itertools.product(self.upto(8), (0, 1, Fraction(1, 4))):
+            mats = [weyl.z_matrix(d)] + self.family(weyl.vra_matrix, d, r)
+            # mats[0] is Z and mats[1 + a] is V_ra, so V_r0 is mats[1]
+            index = [(1 + a, 0, 0, 1 + a, 1 + a, 1, 1, 1 + a) for a in range(d)]
+            turns = [t for a in range(d) for t in (Fraction(1, d), Fraction(-a, d))]
+            agree = _products_agree(mats, np.array(index), turns)
+            yield from (first and second for first, second in zip(agree[::2], agree[1::2]))
 
     @_invariant("weyl.vra_power_and_band_form")
     def _vra_power_and_band_form(self):
-        for d, r, a in _dra_cases(self.upto(8), (0, Fraction(1, 3))):
-            v = weyl.vra_matrix(d, r, a)
-            yield (v ** d) == PhaseMatrix.identity(d).scaled_by(weyl.vra_power_phase(d, r, a))
-            yield weyl.vra_matrix(d, r, a) == weyl.vra_band_matrix(d, r, a)
+        # (V_ra)^d == I e^{i pi (d-1)(r+a)}, and V_ra == the band form, for
+        # every a of a (d, r) family at once; the d-th power is the d-fold
+        # composite of V's rows, with the sum of the exponents met
+        for d, r in itertools.product(self.upto(8), (0, Fraction(1, 3))):
+            vs = self.family(weyl.vra_matrix, d, r)
+            n, cols, exps = phases._stack(vs + self.family(weyl.vra_band_matrix, d, r))
+            turns = [weyl.vra_power_phase(d, r, a).turns for a in range(d)]
+            m = lcm(n, *(t.denominator for t in turns))
+            dt = exponent_dtype(m)
+            start = np.broadcast_to(np.arange(d), (d, d))
+            at, total = start, np.zeros((d, d), dtype=exps.dtype)
+            for _ in range(d):
+                total = total + np.take_along_axis(exps[:d], at, axis=1)
+                at = np.take_along_axis(cols[:d], at, axis=1)
+            want = np.array([t.numerator * (m // t.denominator) % m for t in turns], dtype=dt)
+            power = (at == start).all(axis=1) & (
+                (total.astype(dt) % n * (m // n) - want[:, None]) % m == 0).all(axis=1)
+            band = (cols[:d] == cols[d:]).all(axis=1) & (exps[:d] == exps[d:]).all(axis=1)
+            for case in zip(power.tolist(), band.tolist()):
+                yield from case
 
     @_invariant("weyl.pauli_trace_orthogonality")
     def _pauli_trace_orthogonality(self):
@@ -235,7 +336,7 @@ class _Sweep:
                 h = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
                 keys += [(pauli, d, g), (pauli, d, h),
                          (PhaseMatrix.identity, d), (pauli, d, weyl.pauli_compose(d, g, h))]
-            yield from _products_agree(*_built(keys))
+            yield from _products_agree(*self.built(keys))
 
     @cached_property
     def sine_draws(self) -> list:
@@ -261,7 +362,7 @@ class _Sweep:
                 s, cross = _sine_terms(m, n)
                 keys += [(weyl.t_matrix, d, m), (weyl.t_matrix, d, n),
                          (phase, -cross), (weyl.t_matrix, d, s)]
-            yield from _products_agree(*_built(keys))
+            yield from _products_agree(*self.built(keys))
 
     @_invariant("weyl.sine_commutator", 1e-12)
     def _sine_commutator(self):
@@ -269,8 +370,8 @@ class _Sweep:
         for d, cases in self.sine_groups():
             terms = [_sine_terms(m, n) for m, n in cases]
             labels = [m for m, _ in cases] + [n for _, n in cases] + [s for s, _ in terms]
-            mats, index = _built((weyl.t_matrix, d, s) for s in labels)
-            tm, tn, ts = np.array([t.to_complex() for t in mats])[index.reshape(3, -1)]
+            mats, index = self.built((weyl.t_matrix, d, s) for s in labels)
+            tm, tn, ts = phases._stack_complex(mats)[index.reshape(3, -1)]
             coeff = np.array([-2j * np.sin(np.pi * cross / d) for _, cross in terms])
             gap = tm @ tn - tn @ tm - coeff[:, None, None] * ts
             yield from np.max(np.abs(gap), axis=(1, 2)).tolist()
@@ -309,7 +410,7 @@ class _Sweep:
                 keys += [(x_pow, m), (z_pow, n), (z_phase, n, m * n), (x_pow, m),
                          (pauli, d, g), (pauli, d, h),
                          (PhaseMatrix.identity, d), (pauli, d, weyl.pauli_compose(d, g, h))]
-            yield from _products_agree(*_built(keys))
+            yield from _products_agree(*self.built(keys))
 
     # -- qdft ----------------------------------------------------------------
 
@@ -317,26 +418,44 @@ class _Sweep:
     def qdft_dims(self) -> range:
         return range(2, max(self.d_max, 2) + 1)
 
+    # the exhaustive (d, r, a) sweeps take one (d, r) family at a time:
+    # F_ra for a = 0..d-1 from the sweep memo, decided on stacks over a
+
     @_invariant("qdft.unitarity", 1e-10)
     def _unitarity(self):
-        for d, r, a in _dra_cases(self.qdft_dims, (0, Fraction(1, 2), 1, Fraction(2, 3))):
-            f = qdft.fra_matrix(d, r, a).to_complex()
-            yield float(np.max(np.abs(f.conj().T @ f - np.eye(d))))
+        for d, r in itertools.product(self.qdft_dims, (0, Fraction(1, 2), 1, Fraction(2, 3))):
+            f = phases._stack_complex(self.family(qdft.fra_matrix, d, r))
+            gap = np.swapaxes(f.conj(), 1, 2) @ f - np.eye(d)
+            yield from np.max(np.abs(gap), axis=(1, 2)).tolist()
 
     @_invariant("qdft.gaussian_factorization")
     def _gaussian_factorization(self):
-        for d, r, a in _dra_cases(self.qdft_dims, (0, 1, Fraction(1, 2))):
-            yield qdft.dra_matrix(d, r, a) @ qdft.fra_matrix(d) == qdft.fra_matrix(d, r, a)
+        # D_ra @ F == F_ra: row i of D_ra @ F is row i of F plus D's phase
+        for d, r in itertools.product(self.qdft_dims, (0, 1, Fraction(1, 2))):
+            ds = self.family(qdft.dra_matrix, d, r)
+            # F = F_00, and F_ra for a = 0..d-1
+            fs = self.family(qdft.fra_matrix, d, 0)[:1] + self.family(qdft.fra_matrix, d, r)
+            (nd, dc, de), (nf, fe) = phases._stack(ds), phases._stack_full(fs)
+            n = lcm(nd, nf)
+            dt = exponent_dtype(n)
+            de, fe = de.astype(dt) * (n // nd), fe.astype(dt) * (n // nf)
+            amplitudes = np.array([(dm.scaled or fs[0].scaled) == f.scaled
+                                   for dm, f in zip(ds, fs[1:])])
+            lhs = (de[:, :, None] + fe[0][dc]) % n
+            yield from ((lhs == fe[1:]).all(axis=(1, 2)) & amplitudes).tolist()
 
     @_invariant("qdft.row_symmetry")
     def _row_symmetry(self):
-        for d, r, a in _dra_cases(self.qdft_dims, (0, 1)):
-            yield _row_symmetry_holds(qdft.fra_matrix(d, r, a), d, r, a)
+        for d, r in itertools.product(self.qdft_dims, (0, 1)):
+            n, exps = phases._stack_full(self.family(qdft.fra_matrix, d, r))
+            yield from _row_symmetries(exps, n, d, r, np.arange(d)).tolist()
 
     @_invariant("qdft.hra_diagonalizes_vra")
     def _hra_diagonalizes_vra(self):
-        for d, r, a in _dra_cases(self.upto(8), (0, Fraction(1, 3), Fraction(1, 2))):
-            yield _diagonalizes_vra(qdft.hra_matrix(d, r, a), d, r, a)
+        for d, r in itertools.product(self.upto(8), (0, Fraction(1, 3), Fraction(1, 2))):
+            yield from _diagonalizes(self.family(weyl.vra_matrix, d, r),
+                                     self.family(qdft.hra_matrix, d, r),
+                                     self.family(_lambda_ra, d, r)).tolist()
 
     @_invariant("qdft.fourth_power_identity", 1e-10)
     def _fourth_power_identity(self):
@@ -346,9 +465,10 @@ class _Sweep:
 
     @_invariant("qdft.trace_two_route", 1e-10)
     def _trace_two_route(self):
-        for d, r, a in _dra_cases(self.qdft_dims, (0, Fraction(1, 2), 1)):
-            direct = qdft.fra_matrix(d, r, a).trace()
-            yield abs(qdft.trace_fra(d, r, a) - direct)
+        for d, r in itertools.product(self.qdft_dims, (0, Fraction(1, 2), 1)):
+            closed = [qdft.trace_fra(d, r, a) for a in range(d)]
+            direct = _traces(self.family(qdft.fra_matrix, d, r))
+            yield from (abs(c - t) for c, t in zip(closed, direct))
 
     @_invariant("qdft.determinant_two_route", 1e-9)
     def _determinant_two_route(self):
@@ -398,45 +518,58 @@ class _Sweep:
     def _vra_kth_power(self):
         # v_ra is a weighted monomial: its k-th power is the k-fold
         # composite of the map, times the product of the weights met on
-        # the way; it must be the identity map times the global phase
-        for k, r, a in _dra_cases(self.upto(8), (0, 1, Fraction(1, 3))):
-            dest, weight = quon._vra_monomial(k, r, a)
+        # the way; it must be the identity map times the global phase.
+        # The map does not depend on a, so one walk serves a (k, r) family
+        for k, r in itertools.product(self.upto(8), (0, 1, Fraction(1, 3))):
+            want = np.array([weyl.vra_power_phase(k, r, a).to_complex() for a in range(k)])
+            dest, weight = quon._vra_monomial(k, r, np.arange(k))
             start = np.arange(k * k)
-            at, product = start, np.ones(k * k, dtype=complex)
+            at, product = start, np.ones((k, k * k), dtype=complex)
             for _ in range(k):
-                product = product * weight[at]
+                product = product * weight[:, at]
                 at = dest[at]
-            want = weyl.vra_power_phase(k, r, a).to_complex()
-            yield (float(np.max(np.abs(product - want))) if np.array_equal(at, start)
-                   else float("inf"))
+            if np.array_equal(at, start):
+                yield from np.max(np.abs(product - want[:, None]), axis=1).tolist()
+            else:
+                yield from [float("inf")] * k
 
     @_invariant("su2.oracle_equivalence", 1e-12)
     def _oracle_equivalence(self):
-        for k, r, a in _dra_cases(self.upto(8), (0, 1, Fraction(1, 3))):
-            got = quon._vra_block(k, r, a)
-            want = weyl.vra_matrix(k, r, a).to_complex()
-            yield float(np.max(np.abs(got - want)))
+        for k, r in itertools.product(self.upto(8), (0, 1, Fraction(1, 3))):
+            got = self.one(_vra_blocks, k, r)
+            want = phases._stack_complex(self.family(weyl.vra_matrix, k, r))
+            yield from np.max(np.abs(got - want), axis=(1, 2)).tolist()
 
     @_invariant("su2.closure_and_casimir", 1e-10)
     def _closure_and_casimir(self):
-        for d, r, a in _dra_cases(self.upto(12), (0, Fraction(1, 2))):
+        for d, r in itertools.product(self.upto(12), (0, Fraction(1, 2))):
             j = Fraction(d - 1, 2)
-            t = quon.su2_generators(j, r, a)
-            yield float(np.max(np.abs(t.j_z @ t.j_plus - t.j_plus @ t.j_z - t.j_plus)))
-            yield float(np.max(np.abs(t.j_z @ t.j_minus - t.j_minus @ t.j_z + t.j_minus)))
-            yield float(np.max(np.abs(t.j_plus @ t.j_minus - t.j_minus @ t.j_plus - 2 * t.j_z)))
-            casimir = (t.j_plus @ t.j_minus + t.j_minus @ t.j_plus) / 2 + t.j_z @ t.j_z
             jj = float(j) * (float(j) + 1)
-            yield float(np.max(np.abs(casimir - jj * np.eye(d))))
+            j_plus, j_minus, j_z = quon._su2_triple(d, r, np.arange(d))
+            casimir = (j_plus @ j_minus + j_minus @ j_plus) / 2 + j_z @ j_z
+            gaps = (j_z @ j_plus - j_plus @ j_z - j_plus,
+                    j_z @ j_minus - j_minus @ j_z + j_minus,
+                    j_plus @ j_minus - j_minus @ j_plus - 2 * j_z,
+                    casimir - jj * np.eye(d))
+            # the four residuals of each a together, a by a
+            worst = np.array([np.max(np.abs(g), axis=(1, 2)) for g in gaps])
+            yield from worst.T.ravel().tolist()
 
     @_invariant("su2.eigenvalue_equation", 1e-12)
     def _eigenvalue_equation(self):
-        for k, r, a in _dra_cases(self.upto(8), (0, 1, Fraction(1, 3))):
+        # v @ vec == lam vec for every eigenvector vec, a column of H_ra;
+        # the eigenvalues come before the complex @, after which math ran
+        # up to 6x slower on one host
+        for k, r in itertools.product(self.upto(8), (0, 1, Fraction(1, 3))):
             j = Fraction(k - 1, 2)
-            v = quon._vra_block(k, r, a)
-            for alpha, vec in enumerate(quon.eigenbasis(j, r, a)):
-                lam = quon.eigenvalue_vra(j, r, a, alpha)
-                yield float(np.max(np.abs(v @ vec - lam * vec)))
+            lam = np.array([[quon.eigenvalue_vra(j, r, a, alpha) for alpha in range(k)]
+                            for a in range(k)])
+            v = self.one(_vra_blocks, k, r)
+            # vecs[a, alpha] is column alpha of H_ra, as quon.eigenbasis gives it
+            vecs = np.ascontiguousarray(
+                np.swapaxes(phases._stack_complex(self.family(qdft.hra_matrix, k, r)), 1, 2))
+            image = (v[:, None] @ vecs[..., None])[..., 0]
+            yield from np.max(np.abs(image - lam[..., None] * vecs), axis=2).ravel().tolist()
 
     @_invariant("su2.cyclic_pseudo_invariance", 1e-12)
     def _cyclic_pseudo_invariance(self):
@@ -447,17 +580,22 @@ class _Sweep:
 
     @_invariant("su2.overlap_two_route", 1e-10)
     def _overlap_two_route(self):
+        # every <r alpha|s beta> at a = 0: the closed forms of each j first,
+        # as in mub.gauss_two_route (cmath ran up to 6x slower right after
+        # a complex @ on one host), then one Gram per (j, r, s) by
+        # np.vecdot, which conjugates as np.vdot does and gives its bytes
+        rs = (0, Fraction(1, 2), 1)
         for two_j in range(1, min(self.d_max, 7)):
             j = Fraction(two_j, 2)
-            d = two_j + 1
-            for r, s in itertools.product((0, Fraction(1, 2), 1), repeat=2):
-                br = quon.eigenbasis(j, r, 0)
-                bs = quon.eigenbasis(j, s, 0)
-                for alpha in range(d):
-                    for beta in range(d):
-                        direct = complex(np.vdot(br[alpha], bs[beta]))
-                        closed = quon.overlap_same_a(j, r, s, 0, alpha, beta)
-                        yield abs(direct - closed)
+            labels = list(itertools.product(range(two_j + 1), repeat=2))
+            closed = np.array([[quon.overlap_same_a(j, r, s, 0, alpha, beta)
+                                for alpha, beta in labels]
+                               for r, s in itertools.product(rs, repeat=2)])
+            basis = {r: np.array(quon.eigenbasis(j, r, 0)) for r in rs}
+            direct = np.array([np.vecdot(basis[r][:, None], basis[s][None])
+                               for r, s in itertools.product(rs, repeat=2)])
+            # Python's abs of each complex: np.abs can differ from it by an ulp
+            yield from map(abs, (direct.reshape(closed.shape) - closed).ravel().tolist())
 
     # -- mub -----------------------------------------------------------------
 

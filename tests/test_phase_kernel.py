@@ -541,3 +541,45 @@ def test_trace_gram_decides_same_pattern_pairs_without_trace_pair(monkeypatch, n
     calls = trace_pair_calls(monkeypatch)
     assert_gram_is_trace_pair(mats)
     assert calls == []
+
+
+# -- stacks of one family: the float view and the traces, member by member ----
+
+@st.composite
+def one_shape_families(draw):
+    """2-5 matrices of one dim, one shape (all monomial or all full) and
+    one amplitude, over mixed moduli."""
+    dim = draw(st.integers(2, 5))
+    tables = monomial_tables(dim) if draw(st.booleans()) else full_tables(dim)
+    scaled = draw(st.booleans())
+    return [build(draw(tables), scaled) for _ in range(draw(st.integers(2, 5)))]
+
+
+@PROPERTY_SETTINGS
+@given(one_shape_families())
+def test_stacked_float_view_has_the_bytes_of_to_complex(mats):
+    want = np.array([m.to_complex() for m in mats])
+    assert phases._stack_complex(mats).tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(one_shape_families().filter(lambda mats: mats[0].monomial_view is None))
+def test_full_stack_and_its_diagonal_sums_equal_each_member(mats):
+    n, exps = phases._stack_full(mats)
+    for m, e in zip(mats, exps):
+        turns = [[Fraction(int(x), n) for x in row] for row in e.tolist()]
+        assert turns == table(m)
+    sums = phases._complex_sums(np.diagonal(exps, axis1=1, axis2=2), n)
+    for m, s in zip(mats, sums):
+        want = m.trace()
+        assert m.amplitude * s == want and repr(m.amplitude * s) == repr(want)
+
+
+def test_stacks_take_one_shape_and_one_amplitude():
+    with pytest.raises(ValueError, match="full"):
+        phases._stack_full([fra_matrix(3), u_ab(3, (1, 1))])
+    with pytest.raises(ValueError, match="dimension"):
+        phases._stack_full([fra_matrix(3), fra_matrix(4)])
+    scaled = PhaseMatrix.monomial(range(3), [0, 1, 2], scaled=True)
+    with pytest.raises(ValueError, match="amplitude"):
+        phases._stack_complex([u_ab(3, (1, 1)), scaled])

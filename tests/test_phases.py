@@ -6,6 +6,7 @@ import pytest
 
 from mubkit.phases import (_QUARTER, _ROOTS_LIMIT, ExactPhase, PhaseMatrix, _phase_array,
                            _phase_complex, _phase_formula, _roots, q_power, trace_pair)
+from mubkit import qdft, weyl
 from mubkit.qdft import fra_matrix
 from mubkit.weyl import x_matrix, z_matrix
 
@@ -227,3 +228,39 @@ def test_trace_pair_matches_dense():
     want = np.trace(x.to_complex().conj().T @ z.to_complex())
     assert abs(got - want) < 1e-13
     assert trace_pair(x, x) == 5
+
+
+def amplitude_route(m):
+    """The dense view as to_complex formed it for every matrix: the phases
+    times the amplitude, written to the real and the imaginary parts."""
+    n = m.modulus
+    if m.monomial_view is not None:
+        cols, exps = m.monomial_view
+        where, e = (np.arange(m.dim), list(cols)), np.array(exps)
+    else:
+        where, e = ..., m.exponents
+    phases = _phase_array(e, n)
+    out = np.zeros((m.dim, m.dim), dtype=complex)
+    out.real[where] = m.amplitude * phases.real
+    out.imag[where] = m.amplitude * phases.imag
+    return out
+
+
+def unscaled_builders(d):
+    """One matrix of every unscaled builder at dimension d."""
+    r, a = Fraction(1, 3), d // 2
+    yield from (PhaseMatrix.identity(d), weyl.x_matrix(d), weyl.z_matrix(d),
+                weyl.pr_matrix(d, r), weyl.vra_matrix(d, r, a), weyl.vra_band_matrix(d, r, a),
+                weyl.u_ab(d, (1, a)), weyl.pauli_element_matrix(d, (a, 1, d - 1)),
+                weyl.t_matrix(d, (a, 1)), qdft.dra_matrix(d, r, a))
+
+
+@pytest.mark.parametrize("d", range(2, 14))
+def test_unscaled_to_complex_writes_the_phases_with_the_amplitude_route_bytes(d):
+    # an unscaled matrix skips the product by amplitude 1.0, which changes
+    # no bit: signed zeros included
+    for m in unscaled_builders(d):
+        assert not m.scaled
+        assert m.to_complex().tobytes() == amplitude_route(m).tobytes()
+    f = qdft.fra_matrix(d, Fraction(1, 3), d // 2)
+    assert f.scaled and f.to_complex().tobytes() == amplitude_route(f).tobytes()

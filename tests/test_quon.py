@@ -468,3 +468,39 @@ def test_quon_relations_at_k_256():
         assert np.max(np.abs(num @ minus - minus @ num + minus)) < 1e-11
         assert not np.any(np.linalg.matrix_power(plus, k))
         assert not np.any(np.linalg.matrix_power(minus, k))
+
+
+def test_every_builder_of_v_ra_takes_integer_a_only():
+    # a = 0.5 was read as an a of its own by the oscillator builders
+    with pytest.raises(TypeError):
+        su2_generators(1, 0, 0.5)
+    with pytest.raises(TypeError):
+        build_vra_quonic(3, 0, 1.5)
+    with pytest.raises(TypeError):
+        rotation_conjugation_residual(1, 0, 0.5, 1)
+    with pytest.raises(TypeError):
+        eigenbasis(1, 0, 0.5)
+    with pytest.raises(TypeError):
+        eigenvalue_vra(1, 0, 0.5, 0)
+    # a stack of a needs an integer dtype
+    with pytest.raises(TypeError):
+        quon._vra_monomial(3, 0, np.array([0.0, 1.0]))
+    assert su2_generators(1, 0, -1).a == 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
+@pytest.mark.parametrize("r", [0, Fraction(1, 3), 0.37])
+def test_stacked_a_gives_the_bytes_of_one_a_at_a_time(k, r):
+    a = np.arange(-1, 2 * k)
+    dest, weight = quon._vra_monomial(k, r, a)
+    blocks = quon._vra_block(k, r, a)
+    triples = quon._su2_triple(k, r, a)
+    assert weight.shape == (len(a), k * k) and blocks.shape == (len(a), k, k)
+    for i, one in enumerate(a.tolist()):
+        one_dest, one_weight = quon._vra_monomial(k, r, one)
+        assert np.array_equal(one_dest, dest)
+        assert one_weight.tobytes() == weight[i].tobytes()
+        assert quon._vra_block(k, r, one).tobytes() == blocks[i].tobytes()
+        t = su2_generators(j_of(k), r, one)
+        for got, stacked in zip((t.j_plus, t.j_minus, t.j_z), triples):
+            assert got.tobytes() == stacked[i].tobytes()

@@ -1,14 +1,16 @@
 """The invariant registry of mubkit.verify: each check is declared once,
 passes on its own, and every suite keeps the checks it has reported."""
 
+import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mubkit import mub, verify, weyl
-from mubkit.phases import q_power
+from mubkit import mub, qdft, quon, verify, weyl
+from mubkit.phases import PhaseMatrix, q_power
 from mubkit.verify import INVARIANTS, SUITES, run_suite
 
 # checks per suite that `mubkit verify <suite> --d-max 13` reported when
@@ -96,7 +98,8 @@ def test_every_check_tests_a_case_at_every_bound(inv, monkeypatch):
 
 # -- the sampled checks decide their drawn cases in array passes -------------
 
-SUITE_RNG = {"weyl": random.Random, "mub": np.random.default_rng}
+SUITE_RNG = {"weyl": random.Random, "qdft": np.random.default_rng,
+             "su2": lambda seed: None, "mub": np.random.default_rng}
 
 
 def run_one(name, d_max=13, seed=0):
@@ -155,3 +158,193 @@ def test_batched_checks_draw_in_the_per_case_order():
     sweep = verify._Sweep("mub", 13, np.random.default_rng(0))
     sweep.check(next(inv for inv in INVARIANTS if inv.name == "mub.entanglement_bound"))
     assert sweep.rng.bit_generator.state == ref_np.bit_generator.state
+
+
+# -- the exhaustive sweeps decide each (d, r) family on stacks over a ---------
+#
+# each oracle is the per-case loop the family pass replaced: one matrix per
+# case (d, r, a), built and decided on its own
+
+def dra_cases(cap, rs, d_max=13):
+    return ((d, r, a) for d in range(2, min(d_max, cap) + 1) for r in rs for a in range(d))
+
+
+def vra_q_commutation_cases():
+    for d, r, a in dra_cases(8, (0, 1, Fraction(1, 4))):
+        first, second = weyl.vra_q_commutation_checks(d, r, a)
+        yield first and second
+
+
+def vra_power_and_band_form_cases():
+    for d, r, a in dra_cases(8, (0, Fraction(1, 3))):
+        v = weyl.vra_matrix(d, r, a)
+        yield (v ** d) == PhaseMatrix.identity(d).scaled_by(weyl.vra_power_phase(d, r, a))
+        yield weyl.vra_matrix(d, r, a) == weyl.vra_band_matrix(d, r, a)
+
+
+def unitarity_cases():
+    for d, r, a in dra_cases(13, (0, Fraction(1, 2), 1, Fraction(2, 3))):
+        f = qdft.fra_matrix(d, r, a).to_complex()
+        yield float(np.max(np.abs(f.conj().T @ f - np.eye(d))))
+
+
+def gaussian_factorization_cases():
+    for d, r, a in dra_cases(13, (0, 1, Fraction(1, 2))):
+        yield qdft.dra_matrix(d, r, a) @ qdft.fra_matrix(d) == qdft.fra_matrix(d, r, a)
+
+
+def row_symmetry_cases():
+    for d, r, a in dra_cases(13, (0, 1)):
+        yield verify._row_symmetry_holds(qdft.fra_matrix(d, r, a), d, r, a)
+
+
+def hra_diagonalizes_vra_cases():
+    for d, r, a in dra_cases(8, (0, Fraction(1, 3), Fraction(1, 2))):
+        yield verify._diagonalizes_vra(qdft.hra_matrix(d, r, a), d, r, a)
+
+
+def trace_two_route_cases():
+    for d, r, a in dra_cases(13, (0, Fraction(1, 2), 1)):
+        direct = qdft.fra_matrix(d, r, a).trace()
+        yield abs(qdft.trace_fra(d, r, a) - direct)
+
+
+def vra_kth_power_cases():
+    for k, r, a in dra_cases(8, (0, 1, Fraction(1, 3))):
+        dest, weight = quon._vra_monomial(k, r, a)
+        start = np.arange(k * k)
+        at, product = start, np.ones(k * k, dtype=complex)
+        for _ in range(k):
+            product = product * weight[at]
+            at = dest[at]
+        want = weyl.vra_power_phase(k, r, a).to_complex()
+        yield (float(np.max(np.abs(product - want))) if np.array_equal(at, start)
+               else float("inf"))
+
+
+def oracle_equivalence_cases():
+    for k, r, a in dra_cases(8, (0, 1, Fraction(1, 3))):
+        got = quon._vra_block(k, r, a)
+        want = weyl.vra_matrix(k, r, a).to_complex()
+        yield float(np.max(np.abs(got - want)))
+
+
+def closure_and_casimir_cases():
+    for d, r, a in dra_cases(12, (0, Fraction(1, 2))):
+        j = Fraction(d - 1, 2)
+        t = quon.su2_generators(j, r, a)
+        yield float(np.max(np.abs(t.j_z @ t.j_plus - t.j_plus @ t.j_z - t.j_plus)))
+        yield float(np.max(np.abs(t.j_z @ t.j_minus - t.j_minus @ t.j_z + t.j_minus)))
+        yield float(np.max(np.abs(t.j_plus @ t.j_minus - t.j_minus @ t.j_plus - 2 * t.j_z)))
+        casimir = (t.j_plus @ t.j_minus + t.j_minus @ t.j_plus) / 2 + t.j_z @ t.j_z
+        jj = float(j) * (float(j) + 1)
+        yield float(np.max(np.abs(casimir - jj * np.eye(d))))
+
+
+def eigenvalue_equation_cases():
+    for k, r, a in dra_cases(8, (0, 1, Fraction(1, 3))):
+        j = Fraction(k - 1, 2)
+        v = quon._vra_block(k, r, a)
+        for alpha, vec in enumerate(quon.eigenbasis(j, r, a)):
+            lam = quon.eigenvalue_vra(j, r, a, alpha)
+            yield float(np.max(np.abs(v @ vec - lam * vec)))
+
+
+def overlap_two_route_cases():
+    for two_j in range(1, 7):
+        j = Fraction(two_j, 2)
+        d = two_j + 1
+        for r, s in itertools.product((0, Fraction(1, 2), 1), repeat=2):
+            br = quon.eigenbasis(j, r, 0)
+            bs = quon.eigenbasis(j, s, 0)
+            for alpha in range(d):
+                for beta in range(d):
+                    direct = complex(np.vdot(br[alpha], bs[beta]))
+                    closed = quon.overlap_same_a(j, r, s, 0, alpha, beta)
+                    yield abs(direct - closed)
+
+
+# (per-case oracle, cases at d_max 13): the counts may grow, never shrink
+FAMILY_PASSES = {
+    "weyl.vra_q_commutation": (vra_q_commutation_cases, 105),
+    "weyl.vra_power_and_band_form": (vra_power_and_band_form_cases, 140),
+    "qdft.unitarity": (unitarity_cases, 360),
+    "qdft.gaussian_factorization": (gaussian_factorization_cases, 270),
+    "qdft.row_symmetry": (row_symmetry_cases, 180),
+    "qdft.hra_diagonalizes_vra": (hra_diagonalizes_vra_cases, 105),
+    "qdft.trace_two_route": (trace_two_route_cases, 270),
+    "su2.vra_kth_power": (vra_kth_power_cases, 105),
+    "su2.oracle_equivalence": (oracle_equivalence_cases, 105),
+    "su2.closure_and_casimir": (closure_and_casimir_cases, 616),
+    "su2.eigenvalue_equation": (eigenvalue_equation_cases, 609),
+    "su2.overlap_two_route": (overlap_two_route_cases, 1251),
+}
+
+
+def family_cases(name, d_max=13):
+    inv = next(inv for inv in INVARIANTS if inv.name == name)
+    return list(inv.cases(verify._Sweep(suite_of(inv), d_max, np.random.default_rng(0))))
+
+
+@pytest.mark.parametrize("name", FAMILY_PASSES)
+def test_family_pass_yields_the_values_of_the_per_case_loop(name):
+    oracle, count = FAMILY_PASSES[name]
+    got, want = family_cases(name), list(oracle())
+    assert len(got) >= count
+    # equal values of equal types: builtin bools, or floats with equal bits
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_the_sweep_memo_builds_each_matrix_once(monkeypatch):
+    calls = Counter()
+    real = qdft.fra_matrix
+
+    def counted(*args):
+        calls[args] += 1
+        return real(*args)
+
+    monkeypatch.setattr(qdft, "fra_matrix", counted)
+    run_suite("qdft", d_max=13)
+    # four family passes read F_ra at r = 1, and no other check does
+    at_r1 = {args: n for args, n in calls.items() if len(args) == 3 and args[1] == 1}
+    assert at_r1 == {(d, 1, a): 1 for d in range(2, 14) for a in range(d)}
+
+
+def test_a_conjugated_eigenvalue_fails_the_eigenvalue_equation(monkeypatch):
+    assert run_one("su2.eigenvalue_equation").passed
+    real = quon.eigenvalue_vra
+    monkeypatch.setattr(quon, "eigenvalue_vra", lambda *args: real(*args).conjugate())
+    assert run_one("su2.eigenvalue_equation").residual > 0.5
+
+
+def test_a_conjugated_trace_fails_the_trace_two_route(monkeypatch):
+    assert run_one("qdft.trace_two_route").passed
+    real = qdft.trace_fra
+    monkeypatch.setattr(qdft, "trace_fra", lambda *args: real(*args).conjugate())
+    assert run_one("qdft.trace_two_route").residual > 0.5
+
+
+def test_a_band_corner_off_by_q_fails_the_band_form(monkeypatch):
+    assert run_one("weyl.vra_power_and_band_form").passed
+    real = weyl.vra_band_matrix
+
+    def off_by_q(d, r=0, a=0):
+        # the corner entry (d-1, 0) times q, every other entry as it was
+        m = real(d, r, a)
+        cols, exps = m.monomial_view
+        n = m.modulus
+        return PhaseMatrix.monomial(cols, [e * d for e in exps[:-1]] + [exps[-1] * d + n], n)
+
+    monkeypatch.setattr(weyl, "vra_band_matrix", off_by_q)
+    assert run_one("weyl.vra_power_and_band_form").residual == float("inf")
+
+
+def test_a_doubled_clock_power_fails_the_second_q_commutation(monkeypatch):
+    # V_r,2a still satisfies V Z = q Z V, but V V_r0 = q^{-2a} V_r0 V,
+    # not q^{-a}: the second relation fails in every case but a = 0
+    assert run_one("weyl.vra_q_commutation").passed
+    real = weyl.vra_matrix
+    monkeypatch.setattr(weyl, "vra_matrix", lambda d, r=0, a=0: real(d, r, 2 * a))
+    cases = family_cases("weyl.vra_q_commutation")
+    assert cases == [a == 0 for d in range(2, 9) for _ in range(3) for a in range(d)]
