@@ -25,21 +25,38 @@ product.  Exponents are int64 while every sum of two of them stays below
 
 A trace is a sum of k roots of unity exp(2*pi*i*e/N), decided exactly
 in one place, ``_decide`` (all equal, or cancelling under a shift N/p
-for a prime p of gcd(N, k)); any other sum is a float sum in row order.
-``_complex_sums`` takes such sums row by row, one ``_decide`` pass for
-all of them; ``trace_pair`` calls it on one row.
+for a prime p of gcd(N, k)); any other sum is a float sum in the given
+order.  ``_sums`` is the one rule built on it: decide every sum of an
+array at once, then sum the rest in floats, times an amplitude.
+``_complex_sums`` takes sums row by row through it; ``trace_pair`` calls
+that on one row.
 
 Families of monomial matrices, stacked by ``_stack`` over one common
 modulus, have two batched kernels: ``trace_gram`` (every tr(a^dag b),
-equal to ``trace_pair`` pair by pair, in one array pass) and
+equal to ``trace_pair`` pair by pair, in array passes) and
 ``_products``, the one product kernel (mats[i] @ mats[j] for index
-arrays i and j; ``pairwise_products`` is it over every pair).  Families
-of full matrices stack by ``_stack_full``, and ``_stack_complex`` is the
-float view of a family of either shape with the bytes of ``to_complex``.
-Moduli are minimal, so two stacked rows over one modulus are equal
-exactly when the matrices are.  ``monomial`` and ``from_exponents``
-check their input; builders whose columns are a permutation by
-construction call ``_from_monomial``.
+arrays i and j; ``pairwise_products`` is it over every pair).  Both are
+flat integer gathers, with no per-pair index arithmetic:
+
+* kernel layout: ``trace_gram`` gathers the exponent differences of a
+  block with ``np.take`` into a (dim, pairs) array, one column per sum,
+  and ``_decide`` and ``_sums`` reduce over axis 0; ``_products`` reads
+  the raveled stack at j * dim + (column of mats[i]);
+* dtype rule: inside ``trace_gram`` exponents are int32 while N < 2**30
+  (a difference plus N, and a sorted exponent plus N/p, stay below
+  2**31), then int64 and Python ints as ``exponent_dtype``; ``_stack``
+  itself keeps ``exponent_dtype(N)``, because callers add stacked
+  exponents (``verify`` sums d of them for (V_ra)^d);
+* a difference or a sum of two exponents is brought back into [0, N)
+  by one conditional +N or -N, not by % N.
+
+Families of full matrices stack by ``_stack_full``, and
+``_stack_complex`` is the float view of a family of either shape with
+the bytes of ``to_complex``.  Moduli are minimal, so two stacked rows
+over one modulus are equal exactly when the matrices are.  ``monomial``
+and ``from_exponents`` check their input (TypeError for a non-integer
+entry, ValueError for den < 1); builders whose columns are a
+permutation by construction call ``_from_monomial``.
 
 Every float view (``to_complex``, the float F_ra and the chirp of
 ``qdft``) goes through ``_phase_array``.  For integer exponents mod
@@ -54,6 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import cos, gcd, lcm, pi, sin, sqrt
 from typing import Iterator, Optional, Sequence, Union
 
@@ -194,6 +212,22 @@ def q_power(d: int, exponent: Rational) -> ExactPhase:
     return ExactPhase(Fraction(exponent) / d)
 
 
+def _integer(x, what: str) -> int:
+    """x as a Python int; TypeError unless x is an int or a numpy integer
+    (a bool, a float or a Fraction is no integer entry)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{what}: expected an integer, got {type(x).__name__}")
+    return int(x)
+
+
+def _checked_den(den) -> int:
+    """The denominator of a constructor's exponents, an integer >= 1."""
+    den = _integer(den, "den")
+    if den < 1:
+        raise ValueError(f"den must be at least 1, got {den}")
+    return den
+
+
 def _primes(n: int) -> list[int]:
     """The distinct primes of n >= 1, by trial division."""
     primes, f = [], 2
@@ -208,40 +242,64 @@ def _primes(n: int) -> list[int]:
     return primes
 
 
-def _decide(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (all equal, cancels) over rows of k >= 1 exponents mod n.
+def _decide(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (all equal, cancels) over the columns of a k x m array of
+    exponents mod n, k >= 1: each column is one sum.
 
-    A row cancels (sums to exactly 0) when a nonzero shift of every
+    A column cancels (sums to exactly 0) when a nonzero shift of every
     exponent leaves its multiset unchanged.  Such a shift has a multiple
     of prime order p, so p divides n, and its orbits have p members, so p
     divides k: the shifts n/p for the primes p of gcd(n, k) <= k are the
-    only ones to try, and trial division always factors gcd(n, k).  Each
-    row is sorted once: a multiset is invariant under n/p exactly when its
-    sorted row is p runs of k/p, each the one before plus n/p.
+    only ones to try, and trial division always factors gcd(n, k).  The
+    columns are sorted once, and only when there is such a prime: a
+    multiset is invariant under n/p exactly when its sorted column is p
+    runs of k/p, each the one before plus n/p.
     """
-    equal = (rows == rows[:, :1]).all(axis=1)
-    cancel = np.zeros(len(rows), dtype=bool)
-    srt = np.sort(rows, axis=1)
-    k = rows.shape[1]
-    for p in _primes(gcd(n, k)):
-        cancel |= (srt[:, k // p:] == srt[:, :k - k // p] + n // p).all(axis=1)
+    k = len(cols)
+    equal = (cols == cols[0]).all(axis=0)
+    cancel = np.zeros(cols.shape[1], dtype=bool)
+    primes = _primes(gcd(n, k))
+    if primes:
+        # each column sorted as a contiguous row, which numpy sorts fastest,
+        # in a copy (cols.T can be the caller's array)
+        srt = cols.T.copy()
+        srt.sort(axis=1)
+        srt = np.ascontiguousarray(srt.T)
+        for p in primes:
+            cancel |= (srt[k // p:] == srt[:k - k // p] + n // p).all(axis=0)
     return equal, cancel
+
+
+def _sums(cols: np.ndarray, n: int, level: np.ndarray, amps: Sequence[float],
+          table: dict) -> np.ndarray:
+    """amps[level[u]] * sum(exp(2*pi*i*e/n) for e in cols[:, u]) for each
+    column u of a k x m array of exponents 0 <= e < n, k >= 1, decided in
+    one _decide pass.  An all-equal column is amps[level] * (k * phase), one
+    Python product per distinct (first exponent, level), kept in table
+    (one table serves one k, n and amps); a cancelling column is 0j; any
+    other is its float sum, with _phase_complex in column order, times
+    its amplitude."""
+    equal, cancel = _decide(cols, n)
+    out = np.zeros(cols.shape[1], dtype=complex)
+    if equal.any():
+        k, levels = len(cols), len(amps)
+        first = cols[0, equal].astype(exponent_dtype(n))
+        keys, which = np.unique(first * levels + level[equal], return_inverse=True)
+        keys = keys.tolist()
+        for key in keys:
+            if key not in table:
+                table[key] = amps[key % levels] * (k * _phase_complex(key // levels, n))
+        out[equal] = np.array([table[key] for key in keys], dtype=complex)[which]
+    for u in np.flatnonzero(~(equal | cancel)).tolist():
+        out[u] = amps[level[u]] * sum(_phase_complex(e, n) for e in cols[:, u].tolist())
+    return out
 
 
 def _complex_sums(rows: np.ndarray, n: int) -> list[complex]:
     """sum(exp(2*pi*i*e/n) for e in row) for each row of k >= 1 exponents
-    0 <= e < n, decided in one _decide pass: exact where it decides the
-    row, else summed with _phase_complex in row order."""
-    equal, cancel = _decide(rows, n)
-    sums = []
-    for row, eq, zero in zip(rows.tolist(), equal.tolist(), cancel.tolist()):
-        if eq:
-            sums.append(len(row) * _phase_complex(row[0], n))
-        elif zero:
-            sums.append(0j)
-        else:
-            sums.append(sum(_phase_complex(e, n) for e in row))
-    return sums
+    0 <= e < n: _sums of the transposed rows at amplitude 1.0, which
+    changes no bit (no sum has a -0.0 part)."""
+    return _sums(rows.T, n, np.zeros(len(rows), dtype=np.intp), (1.0,), {}).tolist()
 
 
 def _complex_sum(exps: Sequence[int], n: int) -> complex:
@@ -309,21 +367,33 @@ class PhaseMatrix:
     def monomial(cls, cols: Sequence[int], exponents: Sequence[int], den: int = 1,
                  scaled: bool = False) -> "PhaseMatrix":
         """Generalized permutation matrix: entry (i, cols[i]) is
-        q**(exponents[i] / den) with q = exp(2*pi*i/dim), dim = len(cols)."""
+        q**(exponents[i] / den) with q = exp(2*pi*i/dim), dim = len(cols).
+        Raises TypeError for a non-integer entry and ValueError for den < 1."""
         dim = len(cols)
-        cols = tuple(int(c) % dim for c in cols)
+        cols = tuple(_integer(c, "columns") % dim for c in cols)
         if len(set(cols)) != dim or len(exponents) != dim:
             raise ValueError("a monomial matrix needs one entry per row and column")
-        n = dim * den
-        return cls._from_monomial(scaled, n, cols, tuple(int(e) % n for e in exponents))
+        n = dim * _checked_den(den)
+        return cls._from_monomial(scaled, n, cols,
+                                  tuple(_integer(e, "exponents") % n for e in exponents))
 
     @classmethod
     def from_exponents(cls, dim: int, exponents, scaled: bool = False,
                        den: int = 1) -> "PhaseMatrix":
         """Full matrix with entries q**(exponents[i, j] / den), q = exp(2*pi*i/dim);
-        ``exponents`` is a dim x dim integer array."""
-        n = dim * den
-        exps = np.asarray(exponents, dtype=exponent_dtype(n)) % n
+        ``exponents`` is a dim x dim integer array.  Raises TypeError for a
+        non-integer entry and ValueError for dim < 1 or den < 1."""
+        if _integer(dim, "dim") < 1:
+            raise ValueError("dim must be at least 1")
+        n = dim * _checked_den(den)
+        # a signed integer array needs no look at its entries; any other
+        # input (nested lists, object, unsigned or float arrays) is checked
+        # entry by entry and reduced as Python ints
+        exps = exponents if isinstance(exponents, np.ndarray) else np.array(exponents, dtype=object)
+        if exps.dtype.kind != "i":
+            exps = np.array([_integer(e, "exponents") % n for e in exps.flat],
+                            dtype=object).reshape(exps.shape)
+        exps = exps.astype(exponent_dtype(n), copy=False) % n
         if exps.shape != (dim, dim):
             raise ValueError(f"exponents must have shape ({dim}, {dim})")
         return cls._from_full(scaled, n, exps)
@@ -507,8 +577,19 @@ def trace_pair(a: PhaseMatrix, b: PhaseMatrix) -> complex:
     return a.amplitude * b.amplitude * _complex_sum(exps, n)
 
 
-# most exponent differences trace_gram holds at once, 512 KB as int64
+# most exponent differences trace_gram holds at once: 256 KB as int32,
+# 512 KB as int64
 _GRAM_BLOCK = 1 << 16
+
+
+# exponents inside trace_gram are int32 below this modulus: a difference
+# of two of them plus n, and a sorted exponent plus n/p, stay below 2**31
+_INT32_MODULUS_LIMIT = 2 ** 30
+
+
+def _kernel_dtype(modulus: int):
+    """Dtype of exponents inside trace_gram: int32 below 2**30, else exponent_dtype."""
+    return np.int32 if modulus < _INT32_MODULUS_LIMIT else exponent_dtype(modulus)
 
 
 def _stack(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -521,9 +602,11 @@ def _stack(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
     dim = mats[0].dim if mats else 0
     n = lcm(*(m.modulus for m in mats))
     dt = exponent_dtype(n)
-    cols = np.array([m._mono[0] for m in mats], dtype=np.intp).reshape(len(mats), dim)
-    exps = np.array([m._mono[1] for m in mats], dtype=dt).reshape(len(mats), dim)
-    scale = np.array([n // m.modulus for m in mats], dtype=dt)
+    size = len(mats) * dim
+    cols = np.fromiter(chain.from_iterable(m._mono[0] for m in mats), np.intp, size)
+    exps = np.fromiter(chain.from_iterable(m._mono[1] for m in mats), dt, size)
+    scale = np.fromiter((n // m.modulus for m in mats), dt, len(mats))
+    cols, exps = cols.reshape(len(mats), dim), exps.reshape(len(mats), dim)
     return n, cols, exps * scale[:, None]
 
 
@@ -561,48 +644,55 @@ def trace_gram(mats: Sequence[PhaseMatrix]) -> Iterator[tuple[np.ndarray, np.nda
     """tr(mats[i]^dag mats[j]) over a family of monomial matrices, block by block.
 
     Yields (i, j, traces), each trace equal to trace_pair(mats[i], mats[j]),
-    repr included; a pair in no block shares no position (0j).  The pairs
-    of each pattern are laid out in one array pass, with no loop over
-    patterns, and decided by _decide in blocks of _GRAM_BLOCK differences:
-    all equal is dim * phase, one Python product per distinct (amplitude,
-    difference) of the call, and a multiset invariant under a shift N/p,
-    p a prime of gcd(N, dim), is 0j.  The rest are summed in floats.
-    Partly overlapping patterns go through trace_pair.
+    repr included; a pair in no block shares no position (0j).  One
+    lexsort makes the members of each column pattern contiguous.  Member
+    p of the sorted family pairs with every member of its pattern, so its
+    pairs are one run of partners; the runs are cut into blocks of at
+    most _GRAM_BLOCK differences, gathered from the exponents in the
+    kernel layout and summed by _sums (all equal is dim * phase, and a
+    multiset invariant under a shift N/p, p a prime of gcd(N, dim), is
+    0j).  Partly overlapping patterns go through trace_pair.
     """
     mats = list(mats)
     if not mats:
         return
     n, cols, exps = _stack(mats)
-    patterns, group = np.unique(cols, axis=0, return_inverse=True)
-    group = group.ravel()
+    count, dim = cols.shape
+    # members of one pattern in index order, patterns in lexicographic order
+    members = np.lexsort(cols.T[::-1])
+    srt = cols[members]
+    bounds = np.flatnonzero(np.concatenate(([True], (srt[1:] != srt[:-1]).any(axis=1), [True])))
+    start, size = bounds[:-1], np.diff(bounds)
+    group = np.empty(count, dtype=np.intp)
+    group[members] = np.repeat(np.arange(len(start)), size)
+    patterns = srt[start]
     # pattern pairs that share some but not all positions
     shared = (patterns[:, None, :] == patterns[None, :, :]).any(axis=2)
     shared[np.diag_indices(len(patterns))] = False
     if shared.any():
         i, j = np.nonzero(shared[group[:, None], group])
         yield i, j, np.array([trace_pair(mats[x], mats[y]) for x, y in zip(i, j)], dtype=complex)
-    # pair t, counted from the start of its pattern g, is members divmod(t, size[g])
-    members, size = np.argsort(group, kind="stable"), np.bincount(group)
-    first, ends = np.cumsum(size) - size, np.cumsum(size * size)
-    scaled, dim = np.array([m.scaled for m in mats], dtype=np.intp), cols.shape[1]
+    # sorted member p has the run of pairs ends[p] - runs[p] .. ends[p] - 1,
+    # and pair t of it pairs p with the sorted member t - back[p]
+    runs = np.repeat(size, size)
+    ends = np.cumsum(runs)
+    back = ends - runs - np.repeat(start, size)
+    exps = np.ascontiguousarray(exps[members].T, dtype=_kernel_dtype(n))
+    scaled = np.fromiter((m.scaled for m in mats), dtype=np.intp, count=count)[members]
     unit = 1.0 / sqrt(dim)
-    amps, step = (1.0, unit, unit * unit), max(1, _GRAM_BLOCK // dim)
-    table = {}  # the all-equal trace by 3 * difference + amplitude level, over all blocks
-    for start in range(0, int(ends[-1]), step):
-        t = np.arange(start, min(start + step, int(ends[-1])))
-        g = np.searchsorted(ends, t, side="right")
-        i, j = members[first[g] + np.divmod(t - ends[g] + size[g] ** 2, size[g])]
-        diff = (exps[j] - exps[i]) % n  # the exponents tr(i^dag j) sums
-        equal, cancel = _decide(diff, n)
-        level, traces = scaled[i] + scaled[j], np.zeros(len(diff), dtype=complex)
-        keys, which = np.unique(3 * diff[equal, 0] + level[equal], return_inverse=True)
-        for key in keys.tolist():
-            if key not in table:  # amplitude * sum, as trace_pair computes it
-                table[key] = amps[key % 3] * (dim * _phase_complex(key // 3, n))
-        traces[equal] = np.array([table[key] for key in keys.tolist()], dtype=complex)[which.ravel()]
-        for u in np.flatnonzero(~(equal | cancel)):
-            traces[u] = amps[level[u]] * sum(_phase_complex(e, n) for e in diff[u].tolist())
-        yield i, j, traces
+    amps, step, table = (1.0, unit, unit * unit), max(1, _GRAM_BLOCK // dim), {}
+    total = int(ends[-1])
+    for first in range(0, total, step):
+        last = min(first + step, total)
+        lo, hi = np.searchsorted(ends, (first, last - 1), side="right").tolist()
+        counts = runs[lo:hi + 1].copy()
+        counts[0] -= first - (ends[lo] - runs[lo])
+        counts[-1] -= ends[hi] - last
+        p = np.repeat(np.arange(lo, hi + 1), counts)
+        q = np.arange(first, last) - np.repeat(back[lo:hi + 1], counts)
+        diff = exps.take(q, axis=1) - exps.take(p, axis=1)  # the exponents tr(p^dag q) sums
+        diff += (diff < 0) * np.asarray(n, dtype=diff.dtype)
+        yield members[p], members[q], _sums(diff, n, scaled[p] + scaled[q], amps, table)
 
 
 def _products(n: int, cols: np.ndarray, exps: np.ndarray, i: np.ndarray,
@@ -612,10 +702,12 @@ def _products(n: int, cols: np.ndarray, exps: np.ndarray, i: np.ndarray,
     of a family; the amplitude is left out.  The modulus of each matrix is
     minimal, so two rows of stacks over one n are equal exactly when the
     matrices are (for equal amplitudes)."""
-    # row r of a @ b sits in column b[a[r]], with exponent e_a[r] + e_b[a[r]]
-    through = cols[i]
-    return (np.take_along_axis(cols[j], through, axis=-1),
-            (exps[i] + np.take_along_axis(exps[j], through, axis=-1)) % n)
+    # row r of a @ b sits in column b[a[r]], with exponent e_a[r] + e_b[a[r]]:
+    # both read the raveled stack at b's entry j * dim + a[r]
+    at = j[..., None] * cols.shape[1] + cols[i]
+    total = exps[i] + exps.take(at)
+    total -= (total >= n) * np.asarray(n, dtype=total.dtype)
+    return cols.take(at), total
 
 
 def pairwise_products(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:

@@ -55,13 +55,20 @@ class PauliGroupElement(NamedTuple):
     c: int
 
 
+def _check_dim(d: int) -> None:
+    """ValueError unless d >= 1: below that no Weyl matrix exists."""
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
+
+
 def _shift_clock(d: int, shift: int, clock: int, phase: int = 0,
                  den: int = 1) -> PhaseMatrix:
     """q^(phase/den) X^shift Z^clock as a monomial: row n has its entry in
     column m = n + shift mod d, with exponent phase + den*clock*m over den.
 
     den*clock*d is a multiple of the modulus den*d, so clock enters mod d
-    and labels of any size go in as Python integers; nothing is re-checked."""
+    and labels of any size go in as Python integers; only d is checked."""
+    _check_dim(d)
     n, s, step = den * d, shift % d, den * (clock % d)
     cols = (*range(s, d), *range(s))
     return PhaseMatrix._from_monomial(False, n, cols, tuple((phase + step * m) % n for m in cols))
@@ -79,6 +86,7 @@ def z_matrix(d: int) -> PhaseMatrix:
 
 def pr_matrix(d: int, r: Rational) -> PhaseMatrix:
     """diag(1, ..., 1, exp(i*pi*(d-1)*r)); r must be rational for exactness."""
+    _check_dim(d)
     r = as_fraction(r)
     n = 2 * r.denominator * d
     # the corner e^{i*pi*(d-1)r} is q^{d(d-1)r/2}
@@ -88,6 +96,7 @@ def pr_matrix(d: int, r: Rational) -> PhaseMatrix:
 
 def vra_band_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
     """V_ra from its explicit band form: (V)_{n-1,n} = q^{na}, corner e^{i*pi*(d-1)r}."""
+    _check_dim(d)
     r = as_fraction(r)
     den = 2 * r.denominator
     # row n-1 holds q^{na} in column n; the corner e^{i*pi*(d-1)r} is
@@ -152,6 +161,7 @@ def pauli_trace_orthogonality(d: int) -> float:
     Traces are taken on the exact product diagonals, so the return value
     is 0.0 whenever every pairing cancels or matches exactly.
     """
+    _check_dim(d)
     return _gram_residual(d, [u_ab(d, (a, b)) for a in range(d) for b in range(d)])
 
 

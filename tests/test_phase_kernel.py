@@ -12,7 +12,7 @@ np.asarray(m, dtype=complex); every result must agree with it within
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import gcd, lcm, sqrt
 
 import numpy as np
 import pytest
@@ -292,6 +292,55 @@ def test_complex_sum_equals_the_any_shift_rule_over_a_huge_prime_modulus(row):
     assert got == want and repr(got) == repr(want)
 
 
+@st.composite
+def sum_columns(draw):
+    """(N, a k x m array of exponents mod N, a level 0-2 per column): columns
+    all equal, whole orbits of a shift N/p, or loose, over small,
+    boundary and huge moduli."""
+    n = draw(st.sampled_from(SMALL_MODULI + BOUNDARY_MODULI + HUGE_PRIME_MODULI))
+    k = draw(st.integers(1, 6))
+    exponents = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n // 2, n - 1]))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["equal", "orbit", "loose"]))
+        p = draw(st.sampled_from([p for p in (2, 3, 5) if n % p == 0 and k % p == 0] or [1]))
+        if kind == "equal":
+            col = [draw(exponents)] * k
+        elif kind == "orbit":
+            col = [(e + s * (n // p)) % n for e in draw(st.lists(exponents, min_size=k // p,
+                                                                  max_size=k // p))
+                   for s in range(p)]
+            col += [draw(exponents) for _ in range(k - len(col))]
+        else:
+            col = draw(st.lists(exponents, min_size=k, max_size=k))
+        columns.append(draw(st.permutations(col)))
+    levels = draw(st.lists(st.integers(0, 2), min_size=len(columns), max_size=len(columns)))
+    return n, np.array(columns, dtype=phases.exponent_dtype(n)).T, np.array(levels)
+
+
+@PROPERTY_SETTINGS
+@given(sum_columns())
+def test_sums_equal_the_per_sum_rule_at_each_amplitude(case):
+    # the one rule of trace_pair, trace_gram and the verify traces: the
+    # amplitude times the sum any_shift_sum gives, repr included, so the
+    # sign of every zero part counts
+    n, cols, level = case
+    unit = 1.0 / sqrt(len(cols))
+    amps = (1.0, unit, unit * unit)
+    want = [amps[lv] * any_shift_sum(col, n) for col, lv in zip(cols.T.tolist(), level.tolist())]
+    # the stack's dtype and trace_gram's, where it narrows to int32
+    for dtype in (phases.exponent_dtype(n), phases._kernel_dtype(n)):
+        table = {}
+        for _ in range(2):  # the second call reads the all-equal sums from table
+            got = phases._sums(cols.astype(dtype), n, level, amps, table).tolist()
+            assert [repr(x) for x in got] == [repr(x) for x in want]
+    rows = np.ascontiguousarray(cols.T)
+    before = rows.copy()
+    sums = phases._complex_sums(rows, n)
+    assert np.array_equal(rows, before)  # the sort works on a copy
+    assert [repr(x) for x in sums] == [repr(any_shift_sum(row, n)) for row in rows.tolist()]
+
+
 def test_exact_results_are_builtin_types():
     x = build([[None, Fraction(0)], [Fraction(0), None]], False)
     assert type(x == x) is bool and type(x != x) is bool
@@ -406,6 +455,64 @@ def test_pairwise_products_equal_matmul(mats, pairs):
     assert got_cols.shape == got_exps.shape == (len(pairs), mats[0].dim)
     for c, (x, y) in enumerate(zip(i.tolist(), j.tolist())):
         assert_product_rows(n, got_cols[c], got_exps[c], mats[x], mats[y])
+
+
+# common moduli at the bound below which trace_gram narrows exponents to
+# int32 (2**30): odd and even just below it, odd and even just above it
+BOUNDARY_MODULI = [2 ** 30 - 35, 2 ** 30 - 2, 2 ** 30 + 3, 2 * (2 ** 29 + 11)]
+
+
+@st.composite
+def boundary_families(draw):
+    """2-8 monomial matrices of one dim over one common modulus N from
+    BOUNDARY_MODULI: an exponent dim * e over den N is the turn e / N.
+    Exponents near 0, N/2 and N - 1 give differences of either sign at
+    the int32 edge; a member may repeat an earlier one up to a global
+    turn over N, so all-equal differences occur, and the last member, the
+    turn 1/N on the diagonal, pins the common modulus at N."""
+    dim = draw(st.integers(1, 5))
+    n = draw(st.sampled_from(BOUNDARY_MODULI))
+    patterns = [tuple((i + s) % dim for i in range(dim)) for s in range(dim)]
+    patterns += draw(st.lists(st.permutations(range(dim)).map(tuple), max_size=2))
+    turns = st.one_of(st.integers(0, n - 1), st.sampled_from([0, 1, n // 2, n - 1]))
+    mats = []
+    for _ in range(draw(st.integers(1, 7))):
+        if mats and draw(st.booleans()):
+            m = draw(st.sampled_from(mats))
+            mats.append(m.scaled_by(ExactPhase(Fraction(draw(turns), n))))
+            continue
+        exps = draw(st.lists(turns, min_size=dim, max_size=dim))
+        mats.append(PhaseMatrix.monomial(draw(st.sampled_from(patterns)),
+                                         [dim * e for e in exps], n, draw(st.booleans())))
+    return mats + [PhaseMatrix.monomial(range(dim), [dim] * dim, n)]
+
+
+@PROPERTY_SETTINGS
+@given(boundary_families())
+def test_trace_gram_equals_trace_pair_at_the_int32_bound(mats):
+    assert phases._stack(mats)[0] in BOUNDARY_MODULI
+    assert_gram_is_trace_pair(mats)
+
+
+@PROPERTY_SETTINGS
+@given(boundary_families())
+def test_pairwise_products_equal_matmul_at_the_int32_bound(mats):
+    n, cols, exps = pairwise_products(mats)
+    assert n in BOUNDARY_MODULI
+    for x, a in enumerate(mats):
+        for y, b in enumerate(mats):
+            assert_product_rows(n, cols[x, y], exps[x, y], a, b)
+
+
+@pytest.mark.parametrize("n", [5, 2 ** 30 - 35, 2 ** 30 + 3, 2 ** 53 - 111, 2 ** 61 - 1])
+def test_stack_keeps_the_exponent_dtype(n):
+    # the kernels narrow their own copies only: callers of _stack add
+    # stacked exponents (verify sums d of them for (V_ra)^d)
+    mats = [PhaseMatrix.monomial(range(3), [3, 6, 9], n),
+            PhaseMatrix.monomial([1, 2, 0], [0, 3, 0], n, scaled=True)]
+    m, cols, exps = phases._stack(mats)
+    assert m == n and cols.dtype == np.intp
+    assert exps.dtype == phases.exponent_dtype(n) == (np.int64 if n < 2 ** 53 else object)
 
 
 @pytest.mark.parametrize("d", range(1, 14))
@@ -528,7 +635,7 @@ def test_trace_gram_with_a_modulus_trial_division_cannot_factor(monkeypatch, n):
     assert calls and all(a.monomial_view[0] != b.monomial_view[0] for a, b in calls)
 
 
-@pytest.mark.parametrize("n", [4 * (10 ** 9 + 7), 10 ** 18 + 9])
+@pytest.mark.parametrize("n", [4 * (10 ** 9 + 7), 10 ** 18 + 9, *BOUNDARY_MODULI])
 def test_trace_gram_decides_same_pattern_pairs_without_trace_pair(monkeypatch, n):
     # one pattern at common modulus n, with differences that are all
     # equal, that cancel under the shift n/2 (n even) and that neither decides

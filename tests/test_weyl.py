@@ -80,6 +80,74 @@ def test_monomial_still_checks_its_input():
         PhaseMatrix.monomial([0, 1, 2], [0, 1])
 
 
+@pytest.mark.parametrize("cols, exps", [
+    ([0, 1], [0.5, 1]),             # was the exponents (0, 1)
+    ([0, 1], [1.9, 1]),             # was (1, 1)
+    ([0, 1], [Fraction(1, 2), 1]),  # was (0, 1)
+    ([0, 0.7], [0, 1]),             # the column 0.7 was 0
+    ([0, 1], [True, 1]),
+])
+def test_monomial_rejects_a_non_integer_entry(cols, exps):
+    with pytest.raises(TypeError, match="expected an integer"):
+        PhaseMatrix.monomial(cols, exps)
+
+
+@pytest.mark.parametrize("exps", [
+    [[0, 0.5], [1, 0]],  # was [[0, 0], [1, 0]]
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.zeros((2, 2), dtype=bool),
+    np.array([[0, Fraction(1, 2)], [1, 0]], dtype=object),
+])
+def test_from_exponents_rejects_a_non_integer_entry(exps):
+    with pytest.raises(TypeError, match="expected an integer"):
+        PhaseMatrix.from_exponents(2, exps)
+
+
+def test_from_exponents_takes_integers_of_any_size_and_kind():
+    want = PhaseMatrix.from_exponents(2, np.array([[0, 3], [1, 2]]), den=2)
+    for exps in ([[0, 3], [1, 2]], [[4, 3 + 4 * 2 ** 70], [1, -2]],
+                 np.array([[0, 3], [1, 2]], dtype=np.uint8),
+                 np.array([[np.int64(4), 3], [1, 2]], dtype=object)):
+        assert PhaseMatrix.from_exponents(2, exps, den=2) == want
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_constructors_reject_a_denominator_below_one(den):
+    # den = -1 gave the modulus -2, and den = 0 raised ZeroDivisionError
+    with pytest.raises(ValueError, match="den must be at least 1"):
+        PhaseMatrix.monomial([0, 1], [0, 1], den)
+    with pytest.raises(ValueError, match="den must be at least 1"):
+        PhaseMatrix.from_exponents(2, [[0, 1], [1, 0]], den=den)
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        PhaseMatrix.from_exponents(den, np.zeros((0, 0), dtype=int))
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_pauli_trace_orthogonality_rejects_a_dimension_below_one(d):
+    with pytest.raises(ValueError, match="at least 1"):  # was an exact 0.0
+        pauli_trace_orthogonality(d)
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_weyl_builders_reject_a_dimension_below_one(d):
+    # x_matrix(-3) was a 0 x 0 matrix and x_matrix(0) raised ZeroDivisionError
+    for build in (x_matrix, z_matrix, lambda d: u_ab(d, (1, 1)), lambda d: pr_matrix(d, 0),
+                  vra_band_matrix, vra_matrix, lambda d: t_matrix(d, (1, 1))):
+        with pytest.raises(ValueError, match="at least 1"):
+            build(d)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_weyl_checks_reject_a_dimension_below_one(d):
+    # sine_product_check(-1, (1, 1), (1, 1)) was True
+    for check in (lambda: sine_product_check(d, (1, 1), (1, 1)),
+                  lambda: sine_commutator_check(d, (1, 1), (1, 1)),
+                  lambda: weyl_relation_check(d, 1, 1),
+                  lambda: vra_q_commutation_checks(d, 0, 1)):
+        with pytest.raises(ValueError, match="at least 1"):
+            check()
+
+
 def test_p0_is_identity():
     for d in (2, 3, 7):
         assert pr_matrix(d, 0) == PhaseMatrix.identity(d)
