@@ -50,10 +50,10 @@ flat integer gathers, with no per-pair index arithmetic:
 * a difference or a sum of two exponents is brought back into [0, N)
   by one conditional +N or -N, not by % N.
 
-Families of full matrices stack by ``_stack_full``, and
-``_stack_complex`` is the float view of a family of either shape with
-the bytes of ``to_complex``.  Moduli are minimal, so two stacked rows
-over one modulus are equal exactly when the matrices are.  ``monomial``
+Full families stack by ``_stack_full``; ``_join`` chains stacks over one
+modulus, and ``_dense_stack`` (``_stack_complex`` of a family) is the
+float view with the bytes of ``to_complex``.  Exponents over one modulus
+are equal exactly when the matrices are.  ``monomial``
 and ``from_exponents`` check their input (TypeError for a non-integer
 entry, ValueError for den < 1); builders whose columns are a
 permutation by construction call ``_from_monomial``.
@@ -527,20 +527,22 @@ class PhaseMatrix:
             e = np.array(exps, dtype=exponent_dtype(n))
         else:
             where, e = ..., self._exps
-        return _dense((self.dim, self.dim), where, _phase_array(e, n), self)
+        return _dense((self.dim, self.dim), where, _phase_array(e, n), self.scaled)
 
     def trace(self) -> complex:
         return trace_pair(PhaseMatrix.identity(self.dim), self)
 
 
-def _dense(shape: tuple, where, phases: np.ndarray, like: PhaseMatrix) -> np.ndarray:
+def _dense(shape: tuple, where, phases: np.ndarray, scaled: bool) -> np.ndarray:
     """A complex array of zeros with phases at where, times the amplitude
-    of like when scaled: the float operations of ExactPhase.to_complex
-    (1.0 * x is x, so an unscaled matrix needs no product)."""
+    1/sqrt(dim) when scaled (dim = shape[-1]): the float operations of
+    ExactPhase.to_complex (1.0 * x is x, so an unscaled matrix needs no
+    product)."""
     out = np.zeros(shape, dtype=complex)
-    if like.scaled:
-        out.real[where] = like.amplitude * phases.real
-        out.imag[where] = like.amplitude * phases.imag
+    if scaled:
+        amplitude = 1.0 / sqrt(shape[-1])
+        out.real[where] = amplitude * phases.real
+        out.imag[where] = amplitude * phases.imag
     else:
         out[where] = phases
     return out
@@ -623,21 +625,45 @@ def _stack_full(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray]:
     return n, np.array([m._exps for m in mats], dtype=dt) * scale[:, None, None]
 
 
+def _join(*stacks: tuple[int, np.ndarray, np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
+    """One monomial stack (N, cols, exps) of several, in order, over the
+    lcm N of their moduli."""
+    n = lcm(*(s[0] for s in stacks))
+    dt = exponent_dtype(n)
+    return (n, np.concatenate([s[1] for s in stacks]),
+            np.concatenate([s[2].astype(dt) * (n // s[0]) for s in stacks]))
+
+
+def _reduced(x, n: int) -> np.ndarray:
+    """An int or an integer array reduced mod n, as an exponent_dtype(n) array."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuO":
+        raise TypeError(f"expected integer labels, got {x.dtype}")
+    if n >= _INT64_MODULUS_LIMIT:
+        return np.asarray(x.astype(object) % n, dtype=object)
+    return np.asarray(x % n, dtype=np.int64)
+
+
+def _dense_stack(n: int, cols: Optional[np.ndarray], exps: np.ndarray,
+                 scaled: bool = False) -> np.ndarray:
+    """The dense complex view, with each member's to_complex bytes, of a
+    stack over n: monomial (cols, exps), or full (None, exps).  e/N and
+    e s / (N s) are one float, as division rounds both quotients alike."""
+    shape, where = exps.shape, ...
+    if cols is not None:
+        shape, where = shape + shape[-1:], (*np.ogrid[:len(cols), :shape[-1]], cols)
+    return _dense(shape, where, _phase_array(exps, n), scaled)
+
+
 def _stack_complex(mats: Sequence[PhaseMatrix]) -> np.ndarray:
     """np.array([m.to_complex() for m in mats]), with its bytes, for a
-    nonempty family of one dim, one shape and one amplitude: one
-    _phase_array pass over the family's common modulus.  A root e/N over
-    the minimal modulus is e s / (N s) over a multiple of it, and float
-    division rounds both quotients alike, so the bytes are equal."""
+    nonempty family of one dim, one shape and one amplitude: _dense_stack
+    of its stack over the family's common modulus."""
     if len({m.scaled for m in mats}) > 1:
         raise ValueError("a dense stack needs one amplitude")
-    if mats[0]._mono is None:
-        n, exps = _stack_full(mats)
-        return _dense(exps.shape, ..., _phase_array(exps, n), mats[0])
-    n, cols, exps = _stack(mats)
-    count, dim = cols.shape
-    where = (np.arange(count)[:, None], np.arange(dim), cols)
-    return _dense((count, dim, dim), where, _phase_array(exps, n), mats[0])
+    full = mats[0]._mono is None
+    n, *stack = _stack_full(mats) if full else _stack(mats)
+    return _dense_stack(n, None if full else stack[0], stack[-1], mats[0].scaled)
 
 
 def trace_gram(mats: Sequence[PhaseMatrix]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

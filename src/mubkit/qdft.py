@@ -52,16 +52,17 @@ __all__ = [
 ]
 
 
-def _checked_a(d: int, a: int) -> int:
-    """a reduced mod d, after checking the (d, a) of an F_ra function."""
+def _checked_a(d: int, a):
+    """a reduced mod d, after checking the (d, a) of an F_ra function: an
+    int, or an array of an integer dtype, one stacked value per entry."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    if not isinstance(a, int):
+    if not (isinstance(a, int) or isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
         raise TypeError("a must be an integer")
     return a % d
 
 
-def _row(d: int, r: Real, a: int) -> tuple[np.ndarray, int]:
+def _row(d: int, r: Real, a) -> tuple[np.ndarray, int]:
     """(den * row(n) for n = 0..d-1, den): the row phases of F_ra, which are
     the diagonal of D_ra, as exponents of q over den, in O(d), with
     row(n) = n(d-n)a/2 + (d-1)(d-1-2n)r/4.
@@ -70,25 +71,35 @@ def _row(d: int, r: Real, a: int) -> tuple[np.ndarray, int]:
     (float(r), 1) for a float r.  den = 4 rd and the row is reduced mod
     den * d; the array holds integers for rational r and floats otherwise.
     The a term is an integer, reduced exactly before a float r term joins
-    it, so a float row carries only the rounding of that r term.
+    it, so a float row carries only the rounding of that r term.  For
+    rational r, a may be an integer array: the rows then stack along its
+    axes, evaluated in int64 while n d^2 < 2^53 and in Python ints beyond.
     """
     a = _checked_a(d, a)
     exact = is_rational(r)
     rn, rd = (r.numerator, r.denominator) if exact else (float(r), 1)
     den = 4 * rd
     n = den * d
-    ka, kr = 2 * a * rd, (d - 1) * rn
+    kr = (d - 1) * rn
+    if isinstance(a, np.ndarray):
+        if not exact:
+            raise TypeError("a stacked row needs a rational r")
+        # 2 a rd i (d-i) mod n is 2 rd (a i (d-i) mod 2d); each term is below n d
+        i = np.arange(d).astype(exponent_dtype(n * d * d))
+        ka = a.astype(i.dtype)[..., None] * (i * (d - i)) % (2 * d) * (2 * rd)
+        return ((ka + kr % n * (d - 1 - 2 * i)) % n).astype(exponent_dtype(n)), den
+    ka = 2 * a * rd
     row = [(ka * i * (d - i) % n + kr * (d - 1 - 2 * i)) % n for i in range(d)]
     return np.array(row, dtype=exponent_dtype(n) if exact else float), den
 
 
-def _exponents(d: int, r: Real, a: int) -> tuple[np.ndarray, int]:
+def _exponents(d: int, r: Real, a) -> tuple[np.ndarray, int]:
     """(den * F_ra exponents, den) as a d x d array, E(n, m) = row(n) + nm,
-    nm reduced mod d."""
+    nm reduced mod d; stacked along the axes of an array a, as _row."""
     row, den = _row(d, r, a)
     k = np.arange(d)
     nm = (k[:, None] * k[None, :]) % d
-    return row[:, None] + den * nm.astype(row.dtype), den
+    return row[..., None] + den * nm.astype(row.dtype), den
 
 
 def _build(d: int, r: Real, e: np.ndarray, den: int) -> Union[PhaseMatrix, np.ndarray]:

@@ -12,8 +12,8 @@ columns of H_ra from :mod:`mubkit.qdft`, with eigenvalues Lambda_ra.
 
 v_ra = s_x s_y is a weighted monomial: it sends each |n1, n2) to the one
 state |n1+1, n2-1) (indices mod k) with one complex weight, read from the
-generator entries of :func:`quon_rep` and the s_x, s_y formulas of
-:func:`build_vra_quonic`.  It is held as that (target, weight) pair of
+q-numbers [n]_q that are the generator entries of :func:`quon_rep`, and
+the s_x, s_y formulas of :func:`build_vra_quonic`.  It is held as that (target, weight) pair of
 length k^2, and its spin-j block is read from k of those entries, so the
 su(2) triple needs O(k^2) work and memory; h is kept as its diagonal.
 The dense k^2 x k^2 matrix is built only by :func:`build_vra_quonic`.
@@ -134,16 +134,6 @@ def build_h(k: int) -> np.ndarray:
     return np.sqrt(n1 * (n2 + 1.0))
 
 
-def _stack_a(k: int, a) -> np.ndarray:
-    """a mod k as an array: an int, checked as qdft checks it, or an array
-    of an integer dtype, one stacked value per entry."""
-    if isinstance(a, np.ndarray):
-        if a.dtype.kind not in "iu":
-            raise TypeError("a must be an integer")
-        return a % k
-    return np.asarray(qdft._checked_a(k, a))
-
-
 def _vra_monomial(k: int, r: Real = 0, a=0) -> tuple[np.ndarray, np.ndarray]:
     """v_ra as (dest, weight): v_ra |i) = weight[..., i] |dest[i]) for every
     flat index i of the tensor space.  a is an int, or an integer array of
@@ -159,18 +149,17 @@ def _vra_monomial(k: int, r: Real = 0, a=0) -> tuple[np.ndarray, np.ndarray]:
     product of ratios of generator entries to [n]_q, so it stays finite
     where [k-1]_q! overflows (k above about 200).
     """
-    rep = quon_rep(k)
-    a = _stack_a(k, a)[..., None]
+    a = np.asarray(qdft._checked_a(k, a))[..., None]
     half = cmath.exp(1j * pi * (k - 1) * float(r) / 2)
-    n = np.arange(1, k)
-    qn = np.array(_q_numbers(k, k))[n]
-    wrap_x = np.prod(rep.x_minus[n - 1, n] / qn)
-    wrap_y = np.prod(rep.y_plus[n, n - 1] / qn)
+    qn = np.array(_q_numbers(k, k))[1:]
+    # the generator entries x_-[n-1, n] and y_+[n, n-1] are [n]_q itself,
+    # so both wrap weights are e^{i phi_r/2} times this running product
+    wrap = half * np.prod(qn / qn)
     n1, n2 = np.divmod(np.arange(k * k), k)
     m1, m2 = (n1 + 1) % k, (n2 - 1) % k
     # q^{e/2} = exp(i pi e / k), e taken mod 2k
-    weight_y = np.where(n2 > 0, _phase_array(-a * (n1 - n2) % (2 * k), 2 * k), half * wrap_y)
-    weight_x = np.where(n1 < k - 1, _phase_array(a * (m1 + m2) % (2 * k), 2 * k), half * wrap_x)
+    weight_y = np.where(n2 > 0, _phase_array(-a * (n1 - n2) % (2 * k), 2 * k), wrap)
+    weight_x = np.where(n1 < k - 1, _phase_array(a * (m1 + m2) % (2 * k), 2 * k), wrap)
     return m1 * k + m2, weight_x * weight_y
 
 

@@ -12,22 +12,22 @@ deterministic given the seed.
 To add an invariant, write a ``_Sweep`` method in its suite's section
 that yields its cases from ``self.d_max`` and, if it samples,
 ``self.rng``; decorate it with ``@_invariant("suite.name", tolerance)``,
-adding ``min_d_max`` if it has no case below that bound.  Every matrix
-comes from the library's builders through the sweep memo
-(``_Sweep.built``, keyed by (builder, *args)), so each distinct matrix
-is built once per sweep and checks share it.  A sampled check draws all
-its cases first, in the order of the per-case loop it stands for, so
-the generator's stream is that loop's.  An exhaustive (d, r, a) sweep
-takes one (d, r) family at a time: ``_Sweep.family`` gives its members
-for a = 0..d-1, and the check decides them on stacks over a.  Cases are
-decided in array passes: monomial identities as products on one
-``phases._stack`` (``_products_agree``), full exact ones as exponent
-stacks over the family's common modulus (``phases._stack_full``), float
-ones on dense ``(A, d, d)`` stacks (``phases._stack_complex``) with one
-stacked ``@``.  Undecided exact sums go through ``phases._complex_sums``
-in row order, as ``trace_pair`` sums them.  An exact check yields one
-builtin bool per case; a float check may yield one residual per batch,
-``np.max`` of it, which keeps nan.
+adding ``min_d_max`` if it has no case below that bound.  Take a family
+as a stack from its formula, not one matrix at a time: the Weyl label
+maps evaluated by ``weyl._shift_clock`` on integer arrays, ``vra_matrix``
+and ``vra_band_matrix`` over an array of a, and F_ra, H_ra and D_ra from
+qdft's row expression (``_fra_family``, ``_dra_family``).  An exhaustive
+(d, r, a) sweep reads one (d, r) family through ``_Sweep.family``, the
+sweep memo, which evaluates it once per sweep for a = 0..d-1.  A sampled
+check draws all its cases first, in the order of the per-case loop it
+stands for, so the generator's stream is that loop's.  Cases are decided
+in array passes: monomial identities as products on one stack
+(``_products_agree``), full exact ones on exponent stacks, float ones on
+dense ``(A, d, d)`` stacks (``phases._dense_stack``) with one stacked
+``@``.  Undecided exact sums go through ``phases._complex_sums`` in row
+order, as ``trace_pair`` sums them.  An exact check yields one builtin
+bool per case; a float check may yield one residual per batch, ``np.max``
+of it, which keeps nan.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from math import lcm
+from functools import cached_property
+from math import lcm, sqrt
 from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
 from . import mub, phases, qdft, quon, weyl, wigner
-from .phases import PhaseMatrix, exponent_dtype, q_power
+from .phases import PhaseMatrix, exponent_dtype
 
 __all__ = ["CheckResult", "INVARIANTS", "SUITES", "run_suite"]
 
@@ -108,26 +108,32 @@ def _row_symmetries(e: np.ndarray, n: int, d: int, r, a: np.ndarray) -> np.ndarr
         (e[:, -1] - e[:, 0] - corner) % m == 0).all(axis=1)
 
 
-def _row_symmetry_holds(f: PhaseMatrix, d: int, r, a: int) -> bool:
-    """The row symmetry of one F_ra: _row_symmetries of a stack of one."""
-    return bool(_row_symmetries(f.exponents[None], f.modulus, d, r, [a])[0])
-
-
-def _lambda_ra(d: int, r, a: int) -> PhaseMatrix:
+def _lambda_ra(d: int, r, a):
     """Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha}) = q^{(d-1)(r+a)/2} Z^{-1}."""
     r = Fraction(r)
     u, v = r.numerator, r.denominator
     return weyl._shift_clock(d, 0, -1, (d - 1) * (u + a * v), 2 * v)
 
 
-def _diagonalizes(vs: list[PhaseMatrix], hs: list[PhaseMatrix],
-                  lams: list[PhaseMatrix]) -> np.ndarray:
-    """vs[i] @ hs[i] == hs[i] @ lams[i] exactly for each i, as a bool mask:
-    monomial vs and lams, full hs, all stacked over one modulus.  Row r
-    of V @ H is V's phase plus row V_c[r] of H; column k of H @ Lambda
-    is Lambda's phase plus column k of H, moved to column Lambda_c[k]."""
-    (nv, vc, ve), (nl, lc, le) = phases._stack(vs), phases._stack(lams)
-    nh, he = phases._stack_full(hs)
+def _fra_family(d: int, r, a) -> tuple[int, np.ndarray]:
+    """The stack (N, exps) of F_ra over an integer array a, N = den * d."""
+    e, den = qdft._exponents(d, r, a)
+    return den * d, e % (den * d)
+
+
+def _dra_family(d: int, r, a) -> tuple[int, np.ndarray]:
+    """The stack (N, exps) of D_ra's diagonals over an integer array a."""
+    row, den = qdft._row(d, r, a)
+    return den * d, row
+
+
+def _diagonalizes(v: tuple, h: tuple, lam: tuple) -> np.ndarray:
+    """V[i] @ H[i] == H[i] @ Lambda[i] exactly for each i, as a bool mask,
+    over the stacks (N, cols, exps) of the unscaled monomial families V
+    and Lambda and (N, exps) of the full family H.  Row r of V @ H is V's
+    phase plus row V_c[r] of H; column k of H @ Lambda is Lambda's phase
+    plus column k of H, moved to column Lambda_c[k]."""
+    (nv, vc, ve), (nh, he), (nl, lc, le) = v, h, lam
     n = lcm(nv, nl, nh)
     dt = exponent_dtype(n)
     ve, le, he = (x.astype(dt) * (n // nx) for x, nx in ((ve, nv), (le, nl), (he, nh)))
@@ -135,15 +141,7 @@ def _diagonalizes(vs: list[PhaseMatrix], hs: list[PhaseMatrix],
     rhs = np.empty_like(he)
     np.put_along_axis(rhs, np.broadcast_to(lc[:, None, :], he.shape),
                       (he + le[:, None, :]) % n, axis=2)
-    amplitudes = np.array([(v.scaled or h.scaled) == (h.scaled or l.scaled)
-                           for v, h, l in zip(vs, hs, lams)])
-    return (lhs == rhs).all(axis=(1, 2)) & amplitudes
-
-
-def _diagonalizes_vra(h: PhaseMatrix, d: int, r, a: int) -> bool:
-    """V_ra @ h == h @ Lambda_ra exactly: h = H_ra is the eigenvector
-    matrix of V_ra, column alpha to that eigenvalue."""
-    return bool(_diagonalizes([weyl.vra_matrix(d, r, a)], [h], [_lambda_ra(d, r, a)])[0])
+    return (lhs == rhs).all(axis=(1, 2))
 
 
 _BASIS_TOLERANCE = 1e-10
@@ -159,50 +157,50 @@ def _basis_set_checks(ms: mub.MubSet) -> list[CheckResult]:
                                 _BASIS_TOLERANCE) for b in ms.bases]
 
 
-def _products_agree(mats: list[PhaseMatrix], index: np.ndarray, turns=()) -> list[bool]:
-    """mats[i] @ mats[j] == (mats[k] @ mats[l]) * exp(2 pi i t) for every
-    row (i, j, k, l) of index and its turn t from turns (0 if turns is
-    empty), as builtin bools, decided on one phases._stack of the unscaled
-    monomial family mats."""
-    n, cols, exps = phases._stack(mats)
-    i, j, k, l = index.reshape(-1, 4).T
+def _products_agree(stack: tuple, index, turns=0, den: int = 1) -> list[bool]:
+    """mats[i] @ mats[j] == (mats[k] @ mats[l]) * exp(2 pi i t / den) for
+    every row (i, j, k, l) of index and its t from the integer array turns
+    (0 by default), as builtin bools, decided on the stack (n, cols, exps)
+    of an unscaled monomial family mats."""
+    n, cols, exps = stack
+    i, j, k, l = np.asarray(index).reshape(-1, 4).T
     (lc, le), (rc, re) = phases._products(n, cols, exps, i, j), phases._products(n, cols, exps, k, l)
-    if turns:
-        turns = [Fraction(t) for t in turns]
-        m = lcm(n, *(t.denominator for t in turns))
-        dt = exponent_dtype(m)
-        shift = np.array([t.numerator * (m // t.denominator) % m for t in turns], dtype=dt)
-        scale = m // n
-        le, re = le.astype(dt) * scale, (re.astype(dt) * scale + shift[:, None]) % m
+    m = lcm(n, den)
+    dt = exponent_dtype(m)
+    shift = (np.asarray(turns, dtype=dt) % den * (m // den)).reshape(-1, 1)
+    le, re = le.astype(dt) * (m // n), (re.astype(dt) * (m // n) + shift) % m
     return ((lc == rc).all(axis=1) & (le == re).all(axis=1)).tolist()
 
 
-def _traces(mats: list[PhaseMatrix]) -> list[complex]:
-    """m.trace() for each full matrix m of a family of one dim, with its
-    bytes: the diagonals over one modulus, summed by one
-    phases._complex_sums pass as trace_pair sums them (its factor 1.0,
-    the identity's amplitude, changes no bit)."""
-    n, exps = phases._stack_full(mats)
-    sums = phases._complex_sums(np.diagonal(exps, axis1=1, axis2=2), n)
-    return [m.amplitude * s for m, s in zip(mats, sums)]
+def _powers(stack: tuple, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The stack of mats[i]^p, p < k, at p * len(mats) + i: the p-fold composite
+    of each row map of the stack (n, cols, exps), summing the exponents met."""
+    n, cols, exps = stack
+    count, dim = cols.shape
+    at = np.empty((k, count, dim), dtype=np.intp)
+    total = np.zeros((k, count, dim), dtype=exps.dtype)
+    at[0] = np.arange(dim)
+    rows = np.arange(count)[:, None] * dim
+    for p in range(1, k):  # row r of mats[i]^p is row at[p-1][r] of mats[i]
+        flat = rows + at[p - 1]
+        at[p], total[p] = cols.take(flat), (total[p - 1] + exps.take(flat)) % n
+    return n, at.reshape(-1, dim), total.reshape(-1, dim)
 
 
-def _sine_terms(m: tuple[int, int], n: tuple[int, int]) -> tuple[tuple[int, int], int]:
-    """(m + n, m x n): the label and the cross product of the sine-algebra rules."""
-    return (m[0] + n[0], m[1] + n[1]), m[0] * n[1] - m[1] * n[0]
+def _xz_powers(d: int, k: int) -> tuple:
+    """X^p at 2p and Z^p at 2p + 1, p < k: the library's X and Z walked on their rows."""
+    return _powers(phases._stack([weyl.x_matrix(d), weyl.z_matrix(d)]), k)
 
 
-def _family(f, d: int, r) -> list:
-    """[f(d, r, a) for a = 0..d-1]: one (d, r) family of an exhaustive sweep."""
-    return [f(d, r, a) for a in range(d)]
-
-
-def _vra_blocks(k: int, r) -> np.ndarray:
-    """quon's spin-j block of v_ra, k = 2j+1, for a = 0..k-1 as one
-    read-only stack, which the checks share through the sweep memo."""
-    blocks = quon._vra_block(k, r, np.arange(k))
-    blocks.flags.writeable = False
-    return blocks
+def _pauli_stack(d: int, labels: list[int]) -> tuple[tuple, np.ndarray]:
+    """The stack of P(g), P(h) and P(gh), in three runs, then I, for the
+    cases (g, h, gh) that labels lists flat, nine ints each; and the rows
+    (g, h, I, gh) of P(g) P(h) == I P(gh)."""
+    g = np.array(labels, dtype=np.int64).reshape(-1, 3, 3).transpose(1, 0, 2).reshape(-1, 3)
+    c = np.arange(len(g) // 3)
+    rows = np.stack([c, len(c) + c, np.full_like(c, 3 * len(c)), 2 * len(c) + c], axis=1)
+    paulis = weyl._shift_clock(d, *weyl._pauli_labels(*g.T))
+    return phases._join(paulis, phases._stack([PhaseMatrix.identity(d)])), rows
 
 
 _COUPLING_TWO_J = 4
@@ -248,76 +246,55 @@ class _Sweep:
     def upto(self, cap: int) -> range:
         return range(2, min(self.d_max, cap) + 1)
 
-    def built(self, keys) -> tuple[list, np.ndarray]:
-        """f(*args) for each distinct key (f, *args), in first-seen order,
-        and the position of every key among them.  The sweep memo builds
-        each matrix once per sweep, so checks share what they build."""
-        at: dict = {}
-        index = np.array([at.setdefault(key, len(at)) for key in keys], dtype=np.intp)
-        memo = self.memo
-        for key in at:
-            if key not in memo:
-                memo[key] = key[0](*key[1:])
-        return [memo[key] for key in at], index
-
-    def one(self, f, *args):
-        """f(*args), built once per sweep."""
-        return self.built([(f, *args)])[0][0]
-
-    def family(self, f, d: int, r) -> list:
-        """[f(d, r, a) for a = 0..d-1], built once per sweep: one memo key
-        per family, so r, often a Fraction, is hashed once per lookup."""
-        return self.one(_family, f, d, r)
+    def family(self, f, d: int, r):
+        """f(d, r, a) for a = arange(d): one (d, r) family, evaluated once per
+        sweep (the memo, keyed by (f, d, r)) and shared read-only."""
+        key = (f, d, r)
+        if key not in self.memo:
+            value = self.memo[key] = f(d, r, np.arange(d))
+            for x in value if isinstance(value, tuple) else (value,):
+                np.asarray(x).flags.writeable = False  # an int gets a throwaway view
+        return self.memo[key]
 
     # -- weyl ----------------------------------------------------------------
 
     @_invariant("weyl.shift_clock_commutation")
     def _shift_clock_commutation(self):
         for d in self.upto(8):
-            x, z = weyl.x_matrix(d), weyl.z_matrix(d)
-            xp = [PhaseMatrix.identity(d)]
-            zp = [PhaseMatrix.identity(d)]
-            for _ in range(d):
-                xp.append(xp[-1] @ x)
-                zp.append(zp[-1] @ z)
-            yield xp[d] == PhaseMatrix.identity(d) and zp[d] == PhaseMatrix.identity(d)
-            for m in range(d):
-                for n in range(d):
-                    yield (xp[m] @ zp[n]) == (zp[n] @ xp[m]).scaled_by(q_power(d, m * n))
+            _, cols, exps = powers = _xz_powers(d, d + 1)
+            yield bool((cols[2 * d:] == np.arange(d)).all() and (exps[2 * d:] == 0).all())
+            # X^m Z^n == (Z^n X^m) q^{mn} for every (m, n), m major
+            m, k = np.divmod(np.arange(d * d), d)
+            xz = np.stack([2 * m, 2 * k + 1, 2 * k + 1, 2 * m], axis=1)
+            yield from _products_agree(powers, xz, m * k, d)
 
     @_invariant("weyl.vra_q_commutation")
     def _vra_q_commutation(self):
         # vra_q_commutation_checks for every a of a (d, r) family at once:
         # V_ra Z == (Z V_ra) q and V_ra V_r0 == (V_r0 V_ra) q^{-a}
         for d, r in itertools.product(self.upto(8), (0, 1, Fraction(1, 4))):
-            mats = [weyl.z_matrix(d)] + self.family(weyl.vra_matrix, d, r)
-            # mats[0] is Z and mats[1 + a] is V_ra, so V_r0 is mats[1]
+            # stack[0] is Z and stack[1 + a] is V_ra, so V_r0 is stack[1]
+            z = phases._stack([weyl.z_matrix(d)])
+            stack = phases._join(z, self.family(weyl.vra_matrix, d, r))
             index = [(1 + a, 0, 0, 1 + a, 1 + a, 1, 1, 1 + a) for a in range(d)]
-            turns = [t for a in range(d) for t in (Fraction(1, d), Fraction(-a, d))]
-            agree = _products_agree(mats, np.array(index), turns)
+            turns = [t for a in range(d) for t in (1, -a)]
+            agree = _products_agree(stack, index, turns, d)
             yield from (first and second for first, second in zip(agree[::2], agree[1::2]))
 
     @_invariant("weyl.vra_power_and_band_form")
     def _vra_power_and_band_form(self):
         # (V_ra)^d == I e^{i pi (d-1)(r+a)}, and V_ra == the band form, for
-        # every a of a (d, r) family at once; the d-th power is the d-fold
-        # composite of V's rows, with the sum of the exponents met
+        # every a of a (d, r) family at once; V's powers are composite walks
         for d, r in itertools.product(self.upto(8), (0, Fraction(1, 3))):
+            # V^d @ V^0 == (V^0 @ V^0) e^{i pi (d-1)(r+a)}, V^p of a at p d + a
             vs = self.family(weyl.vra_matrix, d, r)
-            n, cols, exps = phases._stack(vs + self.family(weyl.vra_band_matrix, d, r))
             turns = [weyl.vra_power_phase(d, r, a).turns for a in range(d)]
-            m = lcm(n, *(t.denominator for t in turns))
-            dt = exponent_dtype(m)
-            start = np.broadcast_to(np.arange(d), (d, d))
-            at, total = start, np.zeros((d, d), dtype=exps.dtype)
-            for _ in range(d):
-                total = total + np.take_along_axis(exps[:d], at, axis=1)
-                at = np.take_along_axis(cols[:d], at, axis=1)
-            want = np.array([t.numerator * (m // t.denominator) % m for t in turns], dtype=dt)
-            power = (at == start).all(axis=1) & (
-                (total.astype(dt) % n * (m // n) - want[:, None]) % m == 0).all(axis=1)
+            den = lcm(*(t.denominator for t in turns))
+            power = _products_agree(_powers(vs, d + 1), [(d * d + a, a, a, a) for a in range(d)],
+                                    [t.numerator * (den // t.denominator) for t in turns], den)
+            _, cols, exps = phases._join(vs, self.family(weyl.vra_band_matrix, d, r))
             band = (cols[:d] == cols[d:]).all(axis=1) & (exps[:d] == exps[d:]).all(axis=1)
-            for case in zip(power.tolist(), band.tolist()):
+            for case in zip(power, band.tolist()):
                 yield from case
 
     @_invariant("weyl.pauli_trace_orthogonality")
@@ -328,15 +305,14 @@ class _Sweep:
     @_invariant("weyl.pauli_composition_law")
     def _pauli_composition_law(self):
         # P(g) P(h) == I P(gh), 200 draws of g then h per d
-        rng, pauli = self.rng, weyl.pauli_element_matrix
+        rng = self.rng
         for d in self.upto(8):
-            keys = []
+            labels = []
             for _ in range(200):
                 g = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
                 h = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                keys += [(pauli, d, g), (pauli, d, h),
-                         (PhaseMatrix.identity, d), (pauli, d, weyl.pauli_compose(d, g, h))]
-            yield from _products_agree(*self.built(keys))
+                labels += (*g, *h, *weyl.pauli_compose(d, g, h))
+            yield from _products_agree(*_pauli_stack(d, labels))
 
     @cached_property
     def sine_draws(self) -> list:
@@ -346,33 +322,28 @@ class _Sweep:
                  (rng.randrange(2 * d), rng.randrange(2 * d)))
                 for d in self.upto(8) for _ in range(40)]
 
-    def sine_groups(self) -> Iterator[tuple[int, list]]:
-        """(d, its (m, n) draws) for each d of sine_draws."""
+    def sine_stacks(self) -> Iterator[tuple[int, tuple, np.ndarray]]:
+        """(d, stack of T_m, T_n, T_{m+n} in three runs, m x n) per d of sine_draws."""
         for d, cases in itertools.groupby(self.sine_draws, key=lambda case: case[0]):
-            yield d, [(m, n) for _, m, n in cases]
+            m, n = np.array([(m, n) for _, m, n in cases]).transpose(1, 2, 0)
+            ts = weyl._shift_clock(d, *weyl._t_labels(*np.concatenate([m, n, m + n], axis=1)))
+            yield d, ts, m[0] * n[1] - m[1] * n[0]
 
     @_invariant("weyl.sine_product_exact")
     def _sine_product_exact(self):
         # T_m T_n == (q^{-(m x n)/2} I) T_{m+n}
-        for d, cases in self.sine_groups():
-            def phase(twice):
-                return PhaseMatrix.identity(d).scaled_by(q_power(2 * d, twice))
-            keys = []
-            for m, n in cases:
-                s, cross = _sine_terms(m, n)
-                keys += [(weyl.t_matrix, d, m), (weyl.t_matrix, d, n),
-                         (phase, -cross), (weyl.t_matrix, d, s)]
-            yield from _products_agree(*self.built(keys))
+        for d, ts, cross in self.sine_stacks():
+            c = np.arange(len(cross))
+            phase = weyl._shift_clock(d, *weyl._phase_labels(-cross, 2))
+            rows = np.stack([c, len(c) + c, 3 * len(c) + c, 2 * len(c) + c], axis=1)
+            yield from _products_agree(phases._join(ts, phase), rows)
 
     @_invariant("weyl.sine_commutator", 1e-12)
     def _sine_commutator(self):
         # [T_m, T_n] = -2i sin(pi (m x n)/d) T_{m+n}, one dense stack per d
-        for d, cases in self.sine_groups():
-            terms = [_sine_terms(m, n) for m, n in cases]
-            labels = [m for m, _ in cases] + [n for _, n in cases] + [s for s, _ in terms]
-            mats, index = self.built((weyl.t_matrix, d, s) for s in labels)
-            tm, tn, ts = phases._stack_complex(mats)[index.reshape(3, -1)]
-            coeff = np.array([-2j * np.sin(np.pi * cross / d) for _, cross in terms])
+        for d, t, cross in self.sine_stacks():
+            tm, tn, ts = phases._dense_stack(*t).reshape(3, -1, d, d)
+            coeff = np.array([-2j * np.sin(np.pi * x / d) for x in cross.tolist()])
             gap = tm @ tn - tn @ tm - coeff[:, None, None] * ts
             yield from np.max(np.abs(gap), axis=(1, 2)).tolist()
 
@@ -395,22 +366,21 @@ class _Sweep:
     @_invariant("weyl.sampled_large_dimension", min_d_max=9)
     def _sampled_large_dimension(self):
         # X^m Z^n == (q^{mn} Z^n) X^m and P(g) P(h) == I P(gh), 25 draws of
-        # m, n, g, h per d
-        rng, pauli = self.rng, weyl.pauli_element_matrix
+        # m, n, g, h per d, the two rows of each draw in turn
+        rng = self.rng
         for d in range(9, min(self.d_max, 16) + 1):
-            x_pow, z_pow = cache(weyl.x_matrix(d).__pow__), cache(weyl.z_matrix(d).__pow__)
-
-            def z_phase(n, mn):
-                return z_pow(n).scaled_by(q_power(d, mn))
-            keys = []
+            draws, labels = [], []
             for _ in range(25):
-                m, n = rng.randrange(d), rng.randrange(d)
+                draws.append((rng.randrange(d), rng.randrange(d)))
                 g = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
                 h = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
-                keys += [(x_pow, m), (z_pow, n), (z_phase, n, m * n), (x_pow, m),
-                         (pauli, d, g), (pauli, d, h),
-                         (PhaseMatrix.identity, d), (pauli, d, weyl.pauli_compose(d, g, h))]
-            yield from _products_agree(*self.built(keys))
+                labels += (*g, *h, *weyl.pauli_compose(d, g, h))
+            m, k = np.array(draws).T
+            pauli, rows = _pauli_stack(d, labels)
+            xz = np.stack([2 * m, 2 * k + 1, 2 * k + 1, 2 * m], axis=1)
+            index = np.stack([xz, 2 * d + rows], axis=1)
+            turns = np.stack([m * k, 0 * m], axis=1)
+            yield from _products_agree(phases._join(_xz_powers(d, d), pauli), index, turns, d)
 
     # -- qdft ----------------------------------------------------------------
 
@@ -419,42 +389,39 @@ class _Sweep:
         return range(2, max(self.d_max, 2) + 1)
 
     # the exhaustive (d, r, a) sweeps take one (d, r) family at a time:
-    # F_ra for a = 0..d-1 from the sweep memo, decided on stacks over a
+    # the stack of F_ra for a = 0..d-1 from the sweep memo, decided over a
 
     @_invariant("qdft.unitarity", 1e-10)
     def _unitarity(self):
         for d, r in itertools.product(self.qdft_dims, (0, Fraction(1, 2), 1, Fraction(2, 3))):
-            f = phases._stack_complex(self.family(qdft.fra_matrix, d, r))
+            n, e = self.family(_fra_family, d, r)
+            f = phases._dense_stack(n, None, e, True)
             gap = np.swapaxes(f.conj(), 1, 2) @ f - np.eye(d)
             yield from np.max(np.abs(gap), axis=(1, 2)).tolist()
 
     @_invariant("qdft.gaussian_factorization")
     def _gaussian_factorization(self):
-        # D_ra @ F == F_ra: row i of D_ra @ F is row i of F plus D's phase
+        # D_ra @ F == F_ra: row i of D_ra @ F is row i of F = F_00 plus D's phase
         for d, r in itertools.product(self.qdft_dims, (0, 1, Fraction(1, 2))):
-            ds = self.family(qdft.dra_matrix, d, r)
-            # F = F_00, and F_ra for a = 0..d-1
-            fs = self.family(qdft.fra_matrix, d, 0)[:1] + self.family(qdft.fra_matrix, d, r)
-            (nd, dc, de), (nf, fe) = phases._stack(ds), phases._stack_full(fs)
-            n = lcm(nd, nf)
+            (nd, de), (nf, fe) = self.family(_dra_family, d, r), self.family(_fra_family, d, r)
+            n0, f0 = self.family(_fra_family, d, 0)
+            n = lcm(nd, n0, nf)
             dt = exponent_dtype(n)
-            de, fe = de.astype(dt) * (n // nd), fe.astype(dt) * (n // nf)
-            amplitudes = np.array([(dm.scaled or fs[0].scaled) == f.scaled
-                                   for dm, f in zip(ds, fs[1:])])
-            lhs = (de[:, :, None] + fe[0][dc]) % n
-            yield from ((lhs == fe[1:]).all(axis=(1, 2)) & amplitudes).tolist()
+            lhs = (de.astype(dt)[:, :, None] * (n // nd) + f0[0].astype(dt) * (n // n0)) % n
+            yield from (lhs == fe.astype(dt) * (n // nf)).all(axis=(1, 2)).tolist()
 
     @_invariant("qdft.row_symmetry")
     def _row_symmetry(self):
         for d, r in itertools.product(self.qdft_dims, (0, 1)):
-            n, exps = phases._stack_full(self.family(qdft.fra_matrix, d, r))
-            yield from _row_symmetries(exps, n, d, r, np.arange(d)).tolist()
+            n, e = self.family(_fra_family, d, r)
+            yield from _row_symmetries(e, n, d, r, np.arange(d)).tolist()
 
     @_invariant("qdft.hra_diagonalizes_vra")
     def _hra_diagonalizes_vra(self):
         for d, r in itertools.product(self.upto(8), (0, Fraction(1, 3), Fraction(1, 2))):
-            yield from _diagonalizes(self.family(weyl.vra_matrix, d, r),
-                                     self.family(qdft.hra_matrix, d, r),
+            # H_ra is F_ra with its rows reversed
+            n, e = self.family(_fra_family, d, r)
+            yield from _diagonalizes(self.family(weyl.vra_matrix, d, r), (n, e[:, ::-1]),
                                      self.family(_lambda_ra, d, r)).tolist()
 
     @_invariant("qdft.fourth_power_identity", 1e-10)
@@ -467,8 +434,10 @@ class _Sweep:
     def _trace_two_route(self):
         for d, r in itertools.product(self.qdft_dims, (0, Fraction(1, 2), 1)):
             closed = [qdft.trace_fra(d, r, a) for a in range(d)]
-            direct = _traces(self.family(qdft.fra_matrix, d, r))
-            yield from (abs(c - t) for c, t in zip(closed, direct))
+            # the diagonals summed as trace_pair sums them: m.trace()'s bytes
+            n, e = self.family(_fra_family, d, r)
+            direct = phases._complex_sums(np.diagonal(e, axis1=1, axis2=2), n)
+            yield from (abs(c - 1.0 / sqrt(d) * t) for c, t in zip(closed, direct))
 
     @_invariant("qdft.determinant_two_route", 1e-9)
     def _determinant_two_route(self):
@@ -536,8 +505,8 @@ class _Sweep:
     @_invariant("su2.oracle_equivalence", 1e-12)
     def _oracle_equivalence(self):
         for k, r in itertools.product(self.upto(8), (0, 1, Fraction(1, 3))):
-            got = self.one(_vra_blocks, k, r)
-            want = phases._stack_complex(self.family(weyl.vra_matrix, k, r))
+            got = self.family(quon._vra_block, k, r)
+            want = phases._dense_stack(*self.family(weyl.vra_matrix, k, r))
             yield from np.max(np.abs(got - want), axis=(1, 2)).tolist()
 
     @_invariant("su2.closure_and_casimir", 1e-10)
@@ -564,10 +533,12 @@ class _Sweep:
             j = Fraction(k - 1, 2)
             lam = np.array([[quon.eigenvalue_vra(j, r, a, alpha) for alpha in range(k)]
                             for a in range(k)])
-            v = self.one(_vra_blocks, k, r)
-            # vecs[a, alpha] is column alpha of H_ra, as quon.eigenbasis gives it
-            vecs = np.ascontiguousarray(
-                np.swapaxes(phases._stack_complex(self.family(qdft.hra_matrix, k, r)), 1, 2))
+            v = self.family(quon._vra_block, k, r)
+            # vecs[a, alpha] is column alpha of H_ra, F_ra with its rows
+            # reversed, as quon.eigenbasis gives it
+            n, e = self.family(_fra_family, k, r)
+            h = phases._dense_stack(n, None, e[:, ::-1], True)
+            vecs = np.ascontiguousarray(np.swapaxes(h, 1, 2))
             image = (v[:, None] @ vecs[..., None])[..., 0]
             yield from np.max(np.abs(image - lam[..., None] * vecs), axis=2).ravel().tolist()
 

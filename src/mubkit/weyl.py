@@ -18,14 +18,17 @@ which :mod:`mubkit.verify` checks exactly as ``qdft.hra_diagonalizes_vra``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .phases import ExactPhase, PhaseMatrix, as_fraction, q_power, trace_gram
+from .phases import (ExactPhase, PhaseMatrix, _reduced, as_fraction, exponent_dtype, q_power,
+                     trace_gram)
 from .qdft import fra_matrix
 
 Rational = Union[int, Fraction]
+_ARRAY = np.ndarray  # a stack's label type, tested by identity on the scalar path
 
 __all__ = [
     "PauliGroupElement",
@@ -61,17 +64,46 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be at least 1, got {d}")
 
 
-def _shift_clock(d: int, shift: int, clock: int, phase: int = 0,
-                 den: int = 1) -> PhaseMatrix:
+def _shift_clock(d: int, shift, clock, phase=0, den: int = 1):
     """q^(phase/den) X^shift Z^clock as a monomial: row n has its entry in
     column m = n + shift mod d, with exponent phase + den*clock*m over den.
 
     den*clock*d is a multiple of the modulus den*d, so clock enters mod d
-    and labels of any size go in as Python integers; only d is checked."""
+    and labels of any size go in as Python integers; only d is checked.
+    Int labels give one PhaseMatrix; 1-d integer arrays (object where a
+    label map's products could pass int64), ints broadcast among them,
+    give the stack (den*d, cols, exps), one row per label as in _stack."""
     _check_dim(d)
-    n, s, step = den * d, shift % d, den * (clock % d)
+    n = den * d
+    if type(shift) is _ARRAY or type(clock) is _ARRAY or type(phase) is _ARRAY:
+        cols = np.arange(d) + _reduced(shift, d)[..., None]
+        cols -= d * (cols >= d)
+        # den (clock m mod d) is den clock m mod n, and below n
+        e = _reduced(phase, n)[..., None]
+        exps = e + den * (_reduced(clock, d)[..., None] * cols % d).astype(e.dtype)
+        exps -= (exps >= n) * np.asarray(n, dtype=exps.dtype)
+        return n, np.broadcast_to(cols, exps.shape), exps
+    s, step = shift % d, den * (clock % d)
     cols = (*range(s, d), *range(s))
     return PhaseMatrix._from_monomial(False, n, cols, tuple((phase + step * m) % n for m in cols))
+
+
+# label maps: a builder is _shift_clock of its labels (shift, clock, phase,
+# den), evaluated on ints for one matrix or on integer arrays for a stack
+
+def _pauli_labels(a, b, c):
+    """P(a, b, c) = q^a X^b Z^c."""
+    return b, c, a, 1
+
+
+def _t_labels(n1, n2):
+    """T_(n1,n2) = q^{n1 n2/2} Z^{n1} X^{n2} = q^{-n1 n2/2} X^{n2} Z^{n1}."""
+    return n2, n1, -n1 * n2, 2
+
+
+def _phase_labels(t, den: int):
+    """q^(t/den) I."""
+    return 0, 0, t, den
 
 
 def x_matrix(d: int) -> PhaseMatrix:
@@ -94,20 +126,33 @@ def pr_matrix(d: int, r: Rational) -> PhaseMatrix:
                                       (0,) * (d - 1) + (d * (d - 1) * r.numerator % n,))
 
 
-def vra_band_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
-    """V_ra from its explicit band form: (V)_{n-1,n} = q^{na}, corner e^{i*pi*(d-1)r}."""
+def vra_band_matrix(d: int, r: Rational = 0, a=0):
+    """V_ra from its explicit band form: (V)_{n-1,n} = q^{na}, corner e^{i*pi*(d-1)r};
+    for a 1-d integer array a, the stack (N, cols, exps) of the family."""
     _check_dim(d)
     r = as_fraction(r)
     den = 2 * r.denominator
     # row n-1 holds q^{na} in column n; the corner e^{i*pi*(d-1)r} is
     # q^{d(d-1)r/2}, which is what the last row's exponent over den says
-    exps = [den * (n * a % d) for n in range(1, d)] + [d * (d - 1) * r.numerator % (den * d)]
-    return PhaseMatrix._from_monomial(False, den * d, tuple(range(1, d)) + (0,), tuple(exps))
+    band = den * _reduced(np.arange(1, d) * _reduced(a, d)[..., None] % d, den * d)
+    corner = np.full(band.shape[:-1] + (1,), d * (d - 1) * r.numerator % (den * d), band.dtype)
+    exps = np.concatenate([band, corner], axis=-1)
+    cols = np.broadcast_to((*range(1, d), 0), exps.shape)
+    if isinstance(a, np.ndarray):
+        return den * d, cols, exps
+    return PhaseMatrix._from_monomial(False, den * d, tuple(cols.tolist()), tuple(exps.tolist()))
 
 
-def vra_matrix(d: int, r: Rational = 0, a: int = 0) -> PhaseMatrix:
-    """V_ra = P_r X Z^a, identical to the explicit band matrix."""
-    return pr_matrix(d, r) @ x_matrix(d) @ (z_matrix(d) ** (a % d))
+def vra_matrix(d: int, r: Rational = 0, a=0):
+    """V_ra = P_r X Z^a, X Z^a in closed form, equal to the band matrix;
+    for a 1-d integer array a, the stack (N, cols, exps) of the family."""
+    pr, xz = pr_matrix(d, r), _shift_clock(d, 1, a)
+    if isinstance(xz, PhaseMatrix):
+        return pr @ xz
+    # P_r is diagonal: its phase at row n joins row n of each X Z^a
+    (n, cols, exps), m = xz, lcm(pr.modulus, d)
+    diagonal = np.array(pr.monomial_view[1], dtype=exponent_dtype(m)) * (m // pr.modulus)
+    return m, cols, (exps.astype(diagonal.dtype) * (m // n) + diagonal) % m
 
 
 def vra_power_phase(d: int, r: Rational, a: int) -> ExactPhase:
@@ -184,8 +229,7 @@ def pauli_compose(d: int, g: PauliGroupElement | tuple[int, int, int],
 
 def pauli_element_matrix(d: int, g: PauliGroupElement | tuple[int, int, int]) -> PhaseMatrix:
     """Matrix q^a X^b Z^c of a Pauli group element."""
-    a, b, c = g
-    return _shift_clock(d, b, c, a)
+    return _shift_clock(d, *_pauli_labels(*g))
 
 
 def t_matrix(d: int, s: tuple[int, int]) -> PhaseMatrix:
@@ -193,8 +237,7 @@ def t_matrix(d: int, s: tuple[int, int]) -> PhaseMatrix:
 
     Z^{n1} X^{n2} = q^{-n1 n2} X^{n2} Z^{n1}, so T is q^{-n1 n2/2} X^{n2} Z^{n1}.
     """
-    n1, n2 = s
-    return _shift_clock(d, n2, n1, -n1 * n2, 2)
+    return _shift_clock(d, *_t_labels(*s))
 
 
 def sine_product_check(d: int, m: tuple[int, int], n: tuple[int, int]) -> bool:

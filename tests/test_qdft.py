@@ -4,11 +4,12 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mubkit.phases import PhaseMatrix, _phase_array, q_power
+from mubkit import weyl
+from mubkit.phases import PhaseMatrix, _phase_array, _stack_full, q_power
 from mubkit.qdft import (_row, fra_matrix, hra_matrix, dra_matrix,
                          forward, inverse, parseval_check, gauss_sum,
                          trace_fra, det_fra, is_generalized_hadamard)
-from mubkit.verify import _diagonalizes_vra, _row_symmetry_holds
+from mubkit.verify import _diagonalizes, _lambda_ra, _row_symmetries
 
 # F_02 at d=6 as exponents of q = exp(i pi/3); row n, column m carries
 # exponent n(6-n)*2/2 + n*m reduced mod 6
@@ -317,12 +318,18 @@ def entrywise_row_symmetry(f, d, r, a):
                for al in range(d))
 
 
+def stacked_row_symmetry(f, d, r, a):
+    """The row symmetry as the registered check decides it: on a stack,
+    here of one."""
+    return bool(_row_symmetries(f.exponents[None], f.modulus, d, r, np.array([a]))[0])
+
+
 @pytest.mark.parametrize("d, r, a, n, al", [
     (2, 0, 1, 0, 1), (5, 1, 3, 4, 0), (6, 0, 2, 3, 5), (9, Fraction(2, 5), 4, 8, 8),
     (13, 1, 12, 0, 7), (13, 0, 0, 6, 6)])
 def test_row_symmetry_both_forms_flag_a_corrupted_entry(d, r, a, n, al):
     f = fra_matrix(d, r, a)
-    assert entrywise_row_symmetry(f, d, r, a) and _row_symmetry_holds(f, d, r, a)
+    assert entrywise_row_symmetry(f, d, r, a) and stacked_row_symmetry(f, d, r, a)
     # over d * N turns from_exponents rebuilds f, and +1 moves one entry
     # by the smallest step that modulus can express
     exps = f.exponents.astype(object) * d
@@ -330,17 +337,20 @@ def test_row_symmetry_both_forms_flag_a_corrupted_entry(d, r, a, n, al):
     exps[n, al] += 1
     bad = PhaseMatrix.from_exponents(d, exps, f.scaled, f.modulus)
     assert not entrywise_row_symmetry(bad, d, r, a)
-    assert not _row_symmetry_holds(bad, d, r, a)
+    assert not stacked_row_symmetry(bad, d, r, a)
 
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_hra_diagonalizes_vra_and_its_neighbour_does_not(d):
-    # the registered check qdft.hra_diagonalizes_vra, and its negative
-    # control: H_r,a+1 in place of H_ra fails in every case
+    # the registered check qdft.hra_diagonalizes_vra on the stacks of V_ra
+    # and Lambda_ra over a, and its negative control: H_r,a+1 in place of
+    # H_ra fails in every case
+    a = np.arange(d)
     for r in (0, Fraction(1, 3), Fraction(1, 2)):
-        for a in range(d):
-            assert _diagonalizes_vra(hra_matrix(d, r, a), d, r, a)
-            assert not _diagonalizes_vra(hra_matrix(d, r, a + 1), d, r, a)
+        v, lam = weyl.vra_matrix(d, r, a), _lambda_ra(d, r, a)
+        assert _diagonalizes(v, _stack_full([hra_matrix(d, r, b) for b in range(d)]), lam).all()
+        assert not _diagonalizes(v, _stack_full([hra_matrix(d, r, b + 1) for b in range(d)]),
+                                 lam).any()
 
 
 @pytest.mark.parametrize("d", range(2, 13))

@@ -150,6 +150,37 @@ def test_scatter_build_matches_dense_kron_product(k):
             assert np.max(np.abs(got - dense_vra(k, r, a))) < 1e-13
 
 
+def wrap_weights_from_generators(k, r, a):
+    """quon._vra_monomial with its wrap weights read from the dense
+    generator matrices of quon_rep, as it was first written."""
+    rep = quon_rep(k)
+    a = np.asarray(a)[..., None]
+    half = cmath.exp(1j * pi * (k - 1) * float(r) / 2)
+    n = np.arange(1, k)
+    qn = np.array(quon._q_numbers(k, k))[n]
+    wrap_x = np.prod(rep.x_minus[n - 1, n] / qn)
+    wrap_y = np.prod(rep.y_plus[n, n - 1] / qn)
+    n1, n2 = np.divmod(np.arange(k * k), k)
+    m1, m2 = (n1 + 1) % k, (n2 - 1) % k
+    weight_y = np.where(n2 > 0, _phase_array(-a * (n1 - n2) % (2 * k), 2 * k), half * wrap_y)
+    weight_x = np.where(n1 < k - 1, _phase_array(a * (m1 + m2) % (2 * k), 2 * k), half * wrap_x)
+    return m1 * k + m2, weight_x * weight_y
+
+
+@pytest.mark.parametrize("k", [*range(2, 65), 256])
+def test_wrap_weights_from_q_numbers_keep_their_bytes(k):
+    # the wrap weights read [n]_q directly, not from six dense k x k
+    # generators: the weights and the spin blocks keep every bit (at
+    # k = 256 for five a, as every a would hold 268 MB of weights)
+    a = np.arange(k) if k <= 64 else np.array([0, 1, 5, 128, 255])
+    for r in (0, Fraction(1, 3), 0.37):
+        dest, weight = quon._vra_monomial(k, r, a)
+        want_dest, want = wrap_weights_from_generators(k, r, a)
+        assert dest.tobytes() == want_dest.tobytes() and weight.tobytes() == want.tobytes()
+        want_block = quon._restrict_monomial(want_dest, want, j_of(k))
+        assert quon._vra_block(k, r, a).tobytes() == want_block.tobytes()
+
+
 def test_vra_kth_power_matches_printed_case():
     # at k=3, r=1, a=2 the constant reduces to e^{i phi_r} = e^{2 i pi} = 1
     v = build_vra_quonic(3, 1, 2)

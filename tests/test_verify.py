@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mubkit import mub, qdft, quon, verify, weyl
+from mubkit import mub, phases, qdft, quon, verify, weyl
 from mubkit.phases import PhaseMatrix, q_power
 from mubkit.verify import INVARIANTS, SUITES, run_suite
 
@@ -122,10 +122,33 @@ def test_a_wrong_composition_law_fails_the_batched_checks(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["weyl.sine_product_exact", "weyl.sine_commutator"])
 def test_a_wrong_phase_of_t_fails_the_batched_sine_checks(name, monkeypatch):
+    # both checks read the stack of T from the label map that t_matrix
+    # evaluates, so one phase q^{1/2} too many there reaches the builder
+    # and both checks
     assert run_one(name).passed
-    real = weyl.t_matrix
-    monkeypatch.setattr(weyl, "t_matrix", lambda d, s: real(d, s).scaled_by(q_power(2 * d, 1)))
+    real, want = weyl._t_labels, weyl.t_matrix(5, (3, 4)).scaled_by(q_power(2 * 5, 1))
+
+    def wrong(n1, n2):
+        shift, clock, phase, den = real(n1, n2)
+        return shift, clock, phase + 1, den
+
+    monkeypatch.setattr(weyl, "_t_labels", wrong)
+    assert weyl.t_matrix(5, (3, 4)) == want
     assert not run_one(name).passed
+
+
+@pytest.mark.parametrize("name", ["weyl.pauli_composition_law", "weyl.sampled_large_dimension"])
+def test_a_pauli_label_map_off_by_one_phase_fails_the_batched_checks(name, monkeypatch):
+    # P(g) read as q P(g): P(g) P(h) picks up q^2 and I P(gh) only q
+    assert run_one(name).passed
+    real, want = weyl._pauli_labels, weyl.pauli_element_matrix(5, (2, 2, 3))
+
+    def wrong(a, b, c):
+        return real(a + 1, b, c)
+
+    monkeypatch.setattr(weyl, "_pauli_labels", wrong)
+    assert weyl.pauli_element_matrix(5, (1, 2, 3)) == want
+    assert run_one(name).residual == float("inf")
 
 
 def test_a_conjugated_gauss_inner_product_fails_the_gauss_check(monkeypatch):
@@ -195,12 +218,14 @@ def gaussian_factorization_cases():
 
 def row_symmetry_cases():
     for d, r, a in dra_cases(13, (0, 1)):
-        yield verify._row_symmetry_holds(qdft.fra_matrix(d, r, a), d, r, a)
+        f = qdft.fra_matrix(d, r, a)
+        yield bool(verify._row_symmetries(f.exponents[None], f.modulus, d, r, np.array([a]))[0])
 
 
 def hra_diagonalizes_vra_cases():
     for d, r, a in dra_cases(8, (0, Fraction(1, 3), Fraction(1, 2))):
-        yield verify._diagonalizes_vra(qdft.hra_matrix(d, r, a), d, r, a)
+        v, lam = phases._stack([weyl.vra_matrix(d, r, a)]), phases._stack([verify._lambda_ra(d, r, a)])
+        yield bool(verify._diagonalizes(v, phases._stack_full([qdft.hra_matrix(d, r, a)]), lam)[0])
 
 
 def trace_two_route_cases():
@@ -297,18 +322,21 @@ def test_family_pass_yields_the_values_of_the_per_case_loop(name):
 
 
 def test_the_sweep_memo_builds_each_matrix_once(monkeypatch):
+    # the F_ra exponents, a matrix or a family over a, all come from
+    # qdft._exponents
     calls = Counter()
-    real = qdft.fra_matrix
+    real = qdft._exponents
 
-    def counted(*args):
-        calls[args] += 1
-        return real(*args)
+    def counted(d, r, a):
+        calls[d, r, tuple(np.atleast_1d(a).tolist())] += 1
+        return real(d, r, a)
 
-    monkeypatch.setattr(qdft, "fra_matrix", counted)
+    monkeypatch.setattr(qdft, "_exponents", counted)
     run_suite("qdft", d_max=13)
-    # four family passes read F_ra at r = 1, and no other check does
-    at_r1 = {args: n for args, n in calls.items() if len(args) == 3 and args[1] == 1}
-    assert at_r1 == {(d, 1, a): 1 for d in range(2, 14) for a in range(d)}
+    # four family passes read the F_ra family at r = 1, and no other check
+    # reads F_ra there: each family is evaluated once, over every a at once
+    at_r1 = {key: n for key, n in calls.items() if key[1] == 1}
+    assert at_r1 == {(d, 1, tuple(range(d))): 1 for d in range(2, 14)}
 
 
 def test_a_conjugated_eigenvalue_fails_the_eigenvalue_equation(monkeypatch):
@@ -330,11 +358,12 @@ def test_a_band_corner_off_by_q_fails_the_band_form(monkeypatch):
     real = weyl.vra_band_matrix
 
     def off_by_q(d, r=0, a=0):
-        # the corner entry (d-1, 0) times q, every other entry as it was
-        m = real(d, r, a)
-        cols, exps = m.monomial_view
-        n = m.modulus
-        return PhaseMatrix.monomial(cols, [e * d for e in exps[:-1]] + [exps[-1] * d + n], n)
+        # the corner entry (d-1, 0) of each member of the family times q,
+        # every other entry as it was
+        n, cols, exps = real(d, r, a)
+        exps = exps.copy()
+        exps[:, -1] = (exps[:, -1] + n // d) % n
+        return n, cols, exps
 
     monkeypatch.setattr(weyl, "vra_band_matrix", off_by_q)
     assert run_one("weyl.vra_power_and_band_form").residual == float("inf")
@@ -348,3 +377,43 @@ def test_a_doubled_clock_power_fails_the_second_q_commutation(monkeypatch):
     monkeypatch.setattr(weyl, "vra_matrix", lambda d, r=0, a=0: real(d, r, 2 * a))
     cases = family_cases("weyl.vra_q_commutation")
     assert cases == [a == 0 for d in range(2, 9) for _ in range(3) for a in range(d)]
+
+
+@pytest.mark.parametrize("name", ["qdft.unitarity", "qdft.row_symmetry", "qdft.hra_diagonalizes_vra",
+                                  "qdft.trace_two_route", "su2.eigenvalue_equation"])
+def test_a_corrupted_fra_entry_fails_the_family_checks(name, monkeypatch):
+    # entry (0, 0) of every F_ra one step off in the row expression's
+    # exponents, which the F_ra and H_ra families read
+    assert run_one(name).passed
+    real = qdft._exponents
+
+    def corrupted(d, r, a):
+        e, den = real(d, r, a)
+        e[..., 0, 0] += 1
+        return e, den
+
+    monkeypatch.setattr(qdft, "_exponents", corrupted)
+    assert not run_one(name).passed
+
+
+def test_a_dra_family_with_its_phase_dropped_fails_the_gaussian_factorization(monkeypatch):
+    # D_ra = I: D_ra @ F == F_ra then holds only where F_ra = F
+    assert run_one("qdft.gaussian_factorization").passed
+    real = verify._dra_family
+
+    def dropped(d, r, a):
+        n, row = real(d, r, a)
+        return n, np.zeros_like(row)
+
+    monkeypatch.setattr(verify, "_dra_family", dropped)
+    cases = family_cases("qdft.gaussian_factorization")
+    assert not all(cases) and any(cases)
+
+
+def test_a_doubled_clock_power_fails_the_su2_oracle(monkeypatch):
+    # the spin block of v_ra is V_ra, not V_r,2a, wherever 2a != a mod k
+    assert run_one("su2.oracle_equivalence").passed
+    real = weyl.vra_matrix
+    monkeypatch.setattr(weyl, "vra_matrix", lambda d, r=0, a=0: real(d, r, 2 * a))
+    cases = family_cases("su2.oracle_equivalence")
+    assert [x > 0.5 for x in cases] == [a > 0 for k in range(2, 9) for _ in range(3) for a in range(k)]

@@ -182,6 +182,16 @@ def test_vra_d3_r0_printed_triples():
         assert np.allclose(vra_matrix(3, 0, a).to_complex(), m, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", range(1, 32))
+def test_vra_in_closed_form_equals_the_product_with_a_clock_power(d):
+    # vra_matrix is P_r times X Z^a in closed form; its first form was the
+    # product P_r X Z^a with Z^a by square-and-multiply
+    for r in (0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(1, 10 ** 23 + 7)):
+        p, x, z = pr_matrix(d, r), x_matrix(d), z_matrix(d)
+        for a in range(d):
+            assert vra_matrix(d, r, a) == p @ x @ (z ** a)
+
+
 def test_band_form_equals_decomposition():
     for d in (2, 3, 5, 8):
         for r in (0, 1, Fraction(1, 4)):
