@@ -47,8 +47,8 @@ MAX_FBAR_TWO_J = 40
 # Only the `qdft` suite of `verify` has no dimension cap of its own (the
 # others stop at 16 or below), so a larger --d-max only grows qdft: its
 # d_max^2 (d, r, a) cases each build d x d matrices, about d_max^3 in all.
-# `verify qdft --d-max` took 0.13 s at 13, 0.8 s at 32, 2.4 s at 48 and
-# 5.3 s at 64 (2-core x86 host, Python 3.11).
+# `verify qdft --d-max` took 0.020 s at 13, 0.12 s at 32, 0.44 s at 48 and
+# 1.3 s at 64, `verify all --d-max 32` 0.22 s (in-process, 2-core x86 host, Python 3.11).
 MAX_VERIFY_D = 32
 
 
@@ -426,20 +426,26 @@ def _read_vector(path: str) -> np.ndarray:
     if text.startswith("["):
         try:
             data = json.loads(text)
-            return np.array([complex(*pair) if isinstance(pair, list) else complex(pair)
-                             for pair in data])
-        except (json.JSONDecodeError, TypeError) as exc:
+            values = [complex(*x) if isinstance(x, list) else complex(x) for x in data]
+        except (ValueError, TypeError, OverflowError) as exc:  # JSONDecodeError is a ValueError
             raise UsageError(f"malformed JSON signal file: {exc}")
-    values = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    start = 1 if lines and lines[0].lstrip().lower().startswith("re") else 0
-    for line in lines[start:]:
-        parts = line.split(",")
-        try:
-            values.append(complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0))
-        except (ValueError, IndexError):
-            raise UsageError(f"malformed CSV signal line: {line!r}")
-    return np.array(values)
+        for k, x in enumerate(data):  # a JSON true or "1" is no number
+            if any(type(v) not in (int, float) for v in (x if isinstance(x, list) else [x])):
+                raise UsageError(f"JSON signal entry {k} ({json.dumps(x)}) is not a number")
+    else:
+        values = []
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        start = 1 if lines and lines[0].lstrip().lower().startswith("re") else 0
+        for line in lines[start:]:
+            try:  # re, or re,im: a third field is a TypeError
+                values.append(complex(*map(float, line.split(","))))
+            except (ValueError, TypeError):
+                raise UsageError(f"malformed CSV signal line: {line!r}")
+    x = np.array(values)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise UsageError(f"signal entry {bad[0]} is {x[bad[0]]}, not a finite number")
+    return x
 
 
 def cmd_transform(args) -> tuple[dict, int]:

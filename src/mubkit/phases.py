@@ -50,13 +50,14 @@ flat integer gathers, with no per-pair index arithmetic:
 * a difference or a sum of two exponents is brought back into [0, N)
   by one conditional +N or -N, not by % N.
 
-Full families stack by ``_stack_full``; ``_join`` chains stacks over one
-modulus, and ``_dense_stack`` (``_stack_complex`` of a family) is the
-float view with the bytes of ``to_complex``.  Exponents over one modulus
-are equal exactly when the matrices are.  ``monomial``
-and ``from_exponents`` check their input (TypeError for a non-integer
-entry, ValueError for den < 1); builders whose columns are a
-permutation by construction call ``_from_monomial``.
+A full family is a stack (N, exps) of dim x dim arrays; ``_monomial_full``
+is the one rule for a monomial times a full matrix, on either side (``@``
+is it on stacks of one).  ``_join`` chains monomial stacks over one
+modulus, and ``_dense_stack`` is the float view with the bytes of
+``to_complex``.  Exponents over one modulus are equal exactly when the
+matrices are.  ``monomial`` and ``from_exponents`` check their input
+(TypeError for a non-integer entry, ValueError for den < 1); builders
+whose columns are a permutation by construction call ``_from_monomial``.
 
 Every float view (``to_complex``, the float F_ra and the chirp of
 ``qdft``) goes through ``_phase_array``.  For integer exponents mod
@@ -455,26 +456,16 @@ class PhaseMatrix:
             raise ValueError("this product has entries that are sums of phases or "
                              "amplitude 1/dim, so it is no PhaseMatrix; "
                              "np.asarray(a) @ b is the dense product")
-        n = lcm(self.modulus, other.modulus)
-        sa, sb = n // self.modulus, n // other.modulus
         scaled = self.scaled or other.scaled
         if self._mono is not None and other._mono is not None:
+            n = lcm(self.modulus, other.modulus)
+            sa, sb = n // self.modulus, n // other.modulus
             (ac, ae), (bc, be) = self._mono, other._mono
             return PhaseMatrix._from_monomial(
                 scaled, n, tuple(bc[c] for c in ac),
                 tuple((x * sa + be[c] * sb) % n for c, x in zip(ac, ae)))
-        dt = exponent_dtype(n)
-        if self._mono is not None:
-            # (ab)[i, j] = a[i, c_i] b[c_i, j]: row c_i of b, shifted by a's phase
-            cols, exps = self._mono
-            out = (np.array(exps, dtype=dt)[:, None] * sa
-                   + other._exps[list(cols)].astype(dt) * sb)
-        else:
-            # (ab)[i, c_k] = a[i, k] b[k, c_k]: column k of a moves to column c_k
-            cols, exps = other._mono
-            out = np.empty((self.dim, self.dim), dtype=dt)
-            out[:, list(cols)] = self._exps.astype(dt) * sa + np.array(exps, dtype=dt) * sb
-        return PhaseMatrix._from_full(scaled, n, out % n)
+        stacks = ((m.modulus, *(m._mono or (m._exps,))) for m in (self, other))
+        return PhaseMatrix._from_full(scaled, *_monomial_full(*stacks))
 
     def dagger(self) -> "PhaseMatrix":
         n = self.modulus
@@ -612,19 +603,6 @@ def _stack(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:
     return n, cols, exps * scale[:, None]
 
 
-def _stack_full(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray]:
-    """Common modulus N of a nonempty family of full matrices, and their
-    exponents mod N as one len(mats) x dim x dim array."""
-    if any(m._exps is None for m in mats):
-        raise ValueError("a full stack needs full matrices")
-    if len({m.dim for m in mats}) > 1:
-        raise ValueError("dimension mismatch")
-    n = lcm(*(m.modulus for m in mats))
-    dt = exponent_dtype(n)
-    scale = np.array([n // m.modulus for m in mats], dtype=dt)
-    return n, np.array([m._exps for m in mats], dtype=dt) * scale[:, None, None]
-
-
 def _join(*stacks: tuple[int, np.ndarray, np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
     """One monomial stack (N, cols, exps) of several, in order, over the
     lcm N of their moduli."""
@@ -653,17 +631,6 @@ def _dense_stack(n: int, cols: Optional[np.ndarray], exps: np.ndarray,
     if cols is not None:
         shape, where = shape + shape[-1:], (*np.ogrid[:len(cols), :shape[-1]], cols)
     return _dense(shape, where, _phase_array(exps, n), scaled)
-
-
-def _stack_complex(mats: Sequence[PhaseMatrix]) -> np.ndarray:
-    """np.array([m.to_complex() for m in mats]), with its bytes, for a
-    nonempty family of one dim, one shape and one amplitude: _dense_stack
-    of its stack over the family's common modulus."""
-    if len({m.scaled for m in mats}) > 1:
-        raise ValueError("a dense stack needs one amplitude")
-    full = mats[0]._mono is None
-    n, *stack = _stack_full(mats) if full else _stack(mats)
-    return _dense_stack(n, None if full else stack[0], stack[-1], mats[0].scaled)
 
 
 def trace_gram(mats: Sequence[PhaseMatrix]) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -734,6 +701,21 @@ def _products(n: int, cols: np.ndarray, exps: np.ndarray, i: np.ndarray,
     total = exps[i] + exps.take(at)
     total -= (total >= n) * np.asarray(n, dtype=total.dtype)
     return cols.take(at), total
+
+
+def _monomial_full(x: tuple, y: tuple) -> tuple[int, np.ndarray]:
+    """The full stack (N, exps mod N) of x[i] @ y[i], N the lcm of the moduli,
+    for a monomial stack (n, cols, exps) and a full one (n, exps) in either
+    order, broadcast along their leading axes; the amplitude is left out."""
+    n = lcm(x[0], y[0])
+    ex, ey = (np.asarray(s[-1], dtype=exponent_dtype(n)) * (n // s[0]) for s in (x, y))
+    if len(x) == 3:
+        # (MF)[i, j] = M[i, c_i] F[c_i, j]: row c_i of F plus M's exponent e_i
+        out = ex[..., None] + np.take_along_axis(ey, np.asarray(x[1])[..., None], axis=-2)
+    else:
+        # (FM)[i, c_k] = F[i, k] M[k, c_k]: column j reads column argsort(c)[j] plus its e
+        out = np.take_along_axis(ex + ey[..., None, :], np.argsort(y[1])[..., None, :], axis=-1)
+    return n, out % n
 
 
 def pairwise_products(mats: Sequence[PhaseMatrix]) -> tuple[int, np.ndarray, np.ndarray]:

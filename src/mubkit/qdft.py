@@ -70,27 +70,24 @@ def _row(d: int, r: Real, a) -> tuple[np.ndarray, int]:
     r enters as rn/rd: its numerator and denominator for rational r, or
     (float(r), 1) for a float r.  den = 4 rd and the row is reduced mod
     den * d; the array holds integers for rational r and floats otherwise.
-    The a term is an integer, reduced exactly before a float r term joins
-    it, so a float row carries only the rounding of that r term.  For
-    rational r, a may be an integer array: the rows then stack along its
-    axes, evaluated in int64 while n d^2 < 2^53 and in Python ints beyond.
+    The a term is an integer below den * d, so a float row carries only
+    the rounding of its r term.  a is an int or, for rational r, an
+    integer array, along whose axes the rows stack.  Every term is below
+    den * d^2: int64 while that is below 2^53, Python ints beyond.
     """
     a = _checked_a(d, a)
     exact = is_rational(r)
+    if isinstance(a, np.ndarray) and not exact:
+        raise TypeError("a stacked row needs a rational r")
     rn, rd = (r.numerator, r.denominator) if exact else (float(r), 1)
     den = 4 * rd
     n = den * d
-    kr = (d - 1) * rn
-    if isinstance(a, np.ndarray):
-        if not exact:
-            raise TypeError("a stacked row needs a rational r")
-        # 2 a rd i (d-i) mod n is 2 rd (a i (d-i) mod 2d); each term is below n d
-        i = np.arange(d).astype(exponent_dtype(n * d * d))
-        ka = a.astype(i.dtype)[..., None] * (i * (d - i)) % (2 * d) * (2 * rd)
-        return ((ka + kr % n * (d - 1 - 2 * i)) % n).astype(exponent_dtype(n)), den
-    ka = 2 * a * rd
-    row = [(ka * i * (d - i) % n + kr * (d - 1 - 2 * i)) % n for i in range(d)]
-    return np.array(row, dtype=exponent_dtype(n) if exact else float), den
+    i = np.arange(d, dtype=exponent_dtype(n * d))
+    # 2 a rd n(d-n) mod den d is 2 rd (a (n(d-n) mod 2d) mod 2d)
+    ka = np.asarray(a).astype(i.dtype)[..., None] * (i * (d - i) % (2 * d)) % (2 * d) * (2 * rd)
+    kr = (d - 1) * rn % n if exact else (d - 1) * rn
+    row = (ka + kr * (d - 1 - 2 * i)) % n
+    return row.astype(exponent_dtype(n) if exact else float, copy=False), den
 
 
 def _exponents(d: int, r: Real, a) -> tuple[np.ndarray, int]:

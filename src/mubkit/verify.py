@@ -22,9 +22,10 @@ sweep memo, which evaluates it once per sweep for a = 0..d-1.  A sampled
 check draws all its cases first, in the order of the per-case loop it
 stands for, so the generator's stream is that loop's.  Cases are decided
 in array passes: monomial identities as products on one stack
-(``_products_agree``), full exact ones on exponent stacks, float ones on
-dense ``(A, d, d)`` stacks (``phases._dense_stack``) with one stacked
-``@``.  Undecided exact sums go through ``phases._complex_sums`` in row
+(``_products_agree``), full exact ones as monomial-times-full products
+(``phases._monomial_full``, compared by ``_same``), float ones on dense
+``(A, d, d)`` stacks (``phases._dense_stack``) with one stacked ``@``.
+Undecided exact sums go through ``phases._complex_sums`` in row
 order, as ``trace_pair`` sums them.  An exact check yields one builtin
 bool per case; a float check may yield one residual per batch, ``np.max``
 of it, which keeps nan.
@@ -80,34 +81,6 @@ def _invariant(name: str, tolerance: float = 0.0, min_d_max: int = 0):
     return register
 
 
-def _row_symmetries(e: np.ndarray, n: int, d: int, r, a: np.ndarray) -> np.ndarray:
-    """The row symmetry of each F_ra (d >= 2) of a stack, as a bool mask:
-    e holds their exponents mod n, one d x d array per entry of the
-    integer array a.  With lead = (d-1)(r+a)/2, row n-1 is row n times
-    q^{lead - alpha + n a} for n = 1..d-1, and row d-1 is row 0 times
-    q^{lead - alpha} e^{-i pi (d-1) r}.
-
-    With r = u/v and w = 2dv, every phase involved is q^{x/(2v)}, the
-    turn x/w, so both sides are exponents over M = lcm(n, w) and rows
-    compare as integer arrays.
-    """
-    r = Fraction(r)
-    u, v = r.numerator, r.denominator
-    w = 2 * d * v
-    m = lcm(n, w)
-    dt = exponent_dtype(m)
-    e = e.astype(dt) * (m // n)
-    a = np.asarray(a, dtype=dt)[:, None, None]
-    # q^{lead - alpha} for every column alpha, as x/(2v); reducing x mod w
-    # before scaling keeps every term below M
-    x = (d - 1) * (u + a * v) - 2 * v * np.arange(d, dtype=dt)
-    rows = np.arange(1, d, dtype=dt)[:, None]
-    step = (x + 2 * v * a * rows) % w * (m // w)
-    corner = x[:, 0] % w * (m // w) + (-(d - 1) * u) % (2 * v) * (m // (2 * v))
-    return ((e[:, :-1] - e[:, 1:] - step) % m == 0).all(axis=(1, 2)) & (
-        (e[:, -1] - e[:, 0] - corner) % m == 0).all(axis=1)
-
-
 def _lambda_ra(d: int, r, a):
     """Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha}) = q^{(d-1)(r+a)/2} Z^{-1}."""
     r = Fraction(r)
@@ -121,27 +94,24 @@ def _fra_family(d: int, r, a) -> tuple[int, np.ndarray]:
     return den * d, e % (den * d)
 
 
-def _dra_family(d: int, r, a) -> tuple[int, np.ndarray]:
-    """The stack (N, exps) of D_ra's diagonals over an integer array a."""
+def _dra_family(d: int, r, a) -> tuple[int, np.ndarray, np.ndarray]:
+    """The monomial stack (N, cols, exps) of D_ra over an integer array a."""
     row, den = qdft._row(d, r, a)
-    return den * d, row
+    return den * d, np.broadcast_to(np.arange(d), row.shape), row
+
+
+def _same(x: tuple, y: tuple) -> np.ndarray:
+    """x[i] == y[i] for each i of two full stacks (N, exps), as a bool mask."""
+    n = lcm(x[0], y[0])
+    ex, ey = (s[1].astype(exponent_dtype(n)) * (n // s[0]) for s in (x, y))
+    return (ex == ey).all(axis=(-2, -1))
 
 
 def _diagonalizes(v: tuple, h: tuple, lam: tuple) -> np.ndarray:
     """V[i] @ H[i] == H[i] @ Lambda[i] exactly for each i, as a bool mask,
     over the stacks (N, cols, exps) of the unscaled monomial families V
-    and Lambda and (N, exps) of the full family H.  Row r of V @ H is V's
-    phase plus row V_c[r] of H; column k of H @ Lambda is Lambda's phase
-    plus column k of H, moved to column Lambda_c[k]."""
-    (nv, vc, ve), (nh, he), (nl, lc, le) = v, h, lam
-    n = lcm(nv, nl, nh)
-    dt = exponent_dtype(n)
-    ve, le, he = (x.astype(dt) * (n // nx) for x, nx in ((ve, nv), (le, nl), (he, nh)))
-    lhs = (ve[:, :, None] + np.take_along_axis(he, vc[:, :, None], axis=1)) % n
-    rhs = np.empty_like(he)
-    np.put_along_axis(rhs, np.broadcast_to(lc[:, None, :], he.shape),
-                      (he + le[:, None, :]) % n, axis=2)
-    return (lhs == rhs).all(axis=(1, 2))
+    and Lambda and (N, exps) of the full family H."""
+    return _same(phases._monomial_full(v, h), phases._monomial_full(h, lam))
 
 
 _BASIS_TOLERANCE = 1e-10
@@ -322,17 +292,21 @@ class _Sweep:
                  (rng.randrange(2 * d), rng.randrange(2 * d)))
                 for d in self.upto(8) for _ in range(40)]
 
-    def sine_stacks(self) -> Iterator[tuple[int, tuple, np.ndarray]]:
-        """(d, stack of T_m, T_n, T_{m+n} in three runs, m x n) per d of sine_draws."""
+    @cached_property
+    def sine_stacks(self) -> list[tuple[int, tuple, np.ndarray]]:
+        """(d, stack of T_m, T_n, T_{m+n} in three runs, m x n) per d of
+        sine_draws, evaluated once: both sine checks read them."""
+        stacks = []
         for d, cases in itertools.groupby(self.sine_draws, key=lambda case: case[0]):
             m, n = np.array([(m, n) for _, m, n in cases]).transpose(1, 2, 0)
             ts = weyl._shift_clock(d, *weyl._t_labels(*np.concatenate([m, n, m + n], axis=1)))
-            yield d, ts, m[0] * n[1] - m[1] * n[0]
+            stacks.append((d, ts, m[0] * n[1] - m[1] * n[0]))
+        return stacks
 
     @_invariant("weyl.sine_product_exact")
     def _sine_product_exact(self):
         # T_m T_n == (q^{-(m x n)/2} I) T_{m+n}
-        for d, ts, cross in self.sine_stacks():
+        for d, ts, cross in self.sine_stacks:
             c = np.arange(len(cross))
             phase = weyl._shift_clock(d, *weyl._phase_labels(-cross, 2))
             rows = np.stack([c, len(c) + c, 3 * len(c) + c, 2 * len(c) + c], axis=1)
@@ -341,7 +315,7 @@ class _Sweep:
     @_invariant("weyl.sine_commutator", 1e-12)
     def _sine_commutator(self):
         # [T_m, T_n] = -2i sin(pi (m x n)/d) T_{m+n}, one dense stack per d
-        for d, t, cross in self.sine_stacks():
+        for d, t, cross in self.sine_stacks:
             tm, tn, ts = phases._dense_stack(*t).reshape(3, -1, d, d)
             coeff = np.array([-2j * np.sin(np.pi * x / d) for x in cross.tolist()])
             gap = tm @ tn - tn @ tm - coeff[:, None, None] * ts
@@ -401,28 +375,28 @@ class _Sweep:
 
     @_invariant("qdft.gaussian_factorization")
     def _gaussian_factorization(self):
-        # D_ra @ F == F_ra: row i of D_ra @ F is row i of F = F_00 plus D's phase
+        # D_ra @ F == F_ra, with F = F_00 and D_ra the diagonal of its row phases
         for d, r in itertools.product(self.qdft_dims, (0, 1, Fraction(1, 2))):
-            (nd, de), (nf, fe) = self.family(_dra_family, d, r), self.family(_fra_family, d, r)
             n0, f0 = self.family(_fra_family, d, 0)
-            n = lcm(nd, n0, nf)
-            dt = exponent_dtype(n)
-            lhs = (de.astype(dt)[:, :, None] * (n // nd) + f0[0].astype(dt) * (n // n0)) % n
-            yield from (lhs == fe.astype(dt) * (n // nf)).all(axis=(1, 2)).tolist()
+            yield from _same(phases._monomial_full(self.family(_dra_family, d, r), (n0, f0[:1])),
+                             self.family(_fra_family, d, r)).tolist()
 
-    @_invariant("qdft.row_symmetry")
-    def _row_symmetry(self):
-        for d, r in itertools.product(self.qdft_dims, (0, 1)):
-            n, e = self.family(_fra_family, d, r)
-            yield from _row_symmetries(e, n, d, r, np.arange(d)).tolist()
-
-    @_invariant("qdft.hra_diagonalizes_vra")
-    def _hra_diagonalizes_vra(self):
-        for d, r in itertools.product(self.upto(8), (0, Fraction(1, 3), Fraction(1, 2))):
-            # H_ra is F_ra with its rows reversed
+    def diagonalizes(self, dims, rs) -> Iterator[bool]:
+        """V_ra H_ra == H_ra Lambda_ra for each (d, r, a), H_ra = F_ra with its rows reversed."""
+        for d, r in itertools.product(dims, rs):
             n, e = self.family(_fra_family, d, r)
             yield from _diagonalizes(self.family(weyl.vra_matrix, d, r), (n, e[:, ::-1]),
                                      self.family(_lambda_ra, d, r)).tolist()
+
+    @_invariant("qdft.row_symmetry")
+    def _row_symmetry(self):
+        # F_ra's row symmetry (row n-1 against row n, row d-1 against row 0)
+        # is V_ra H_ra == H_ra Lambda_ra read row by row
+        yield from self.diagonalizes(self.qdft_dims, (0, 1))
+
+    @_invariant("qdft.hra_diagonalizes_vra")
+    def _hra_diagonalizes_vra(self):
+        yield from self.diagonalizes(self.upto(8), (0, Fraction(1, 3), Fraction(1, 2)))
 
     @_invariant("qdft.fourth_power_identity", 1e-10)
     def _fourth_power_identity(self):

@@ -180,6 +180,32 @@ def test_transform_malformed_file(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("name, text, entry", [
+    ("nan.csv", "re,im\n1,0\nnan,0\n2,1\ninf,0\n", "signal entry 1 is (nan+0j)"),
+    ("inf.csv", "re,im\n1,0\n3,0\n2,1\ninf,0\n", "signal entry 3 is (inf+0j)"),
+    ("big.json", "[[1,0],[1e400,0],[3,0],[2,1]]", "signal entry 1 is (inf+0j)"),
+    ("true.json", "[[1,0],[3,0],[true],[2,1]]", "JSON signal entry 2 ([true]) is not a number"),
+    ("str.json", '[[1,0],["3"],[2,1],[1,1]]', 'JSON signal entry 1 (["3"]) is not a number'),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+def test_transform_refuses_non_finite_and_non_number_entries(tmp_path, capsys, name, text, entry, fmt):
+    # each would otherwise give nan/inf output, or read true as 1 and "3" as 3
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "transform", "--d", "4", "--in", str(path), "--format", fmt)
+    assert code == 2 and out == ""
+    assert entry in err and err.startswith("error: ")
+
+
+def test_transform_refuses_a_csv_line_of_three_fields(tmp_path, capsys):
+    # the third field was dropped and the line read as 1 + 0i
+    path = tmp_path / "three.csv"
+    path.write_text("re,im\n1,0,9\n2,1\n3,0\n4,0\n")
+    code, out, err = run(capsys, "transform", "--d", "4", "--in", str(path))
+    assert code == 2 and out == ""
+    assert "malformed CSV signal line: '1,0,9'" in err
+
+
 def test_fbar_cross_prints_parity(capsys):
     code, out, _ = run(capsys, "fbar", "--j", "1,1,1", "--alpha", "0,1,2",
                        "--format", "pretty")

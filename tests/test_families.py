@@ -4,9 +4,10 @@ The verify checks read whole families at once: the Weyl label maps
 evaluated by ``weyl._shift_clock`` on integer arrays, V_ra and its band
 form over an array of a, and the F_ra, H_ra, D_ra and Lambda_ra rows of
 qdft's row expression over an array of a.  Each oracle here builds the
-same matrices one at a time with the public builders and stacks them
-with ``phases._stack``/``_stack_full``; rows are compared as turns, since
-a family's common modulus need not be the lcm of the minimal ones.
+same matrices one at a time with the public builders, stacks the
+monomial ones with ``phases._stack`` and compares the full ones member
+by member; rows are compared as turns, since a family's common modulus
+need not be the lcm of the minimal ones.
 """
 
 import itertools
@@ -43,8 +44,9 @@ def assert_same_monomials(stack, mats):
 
 def assert_same_full(stack, mats):
     n, exps = stack
-    m, want = phases._stack_full(mats)
-    assert_same_turns(exps, n, want, m)
+    assert len(exps) == len(mats)
+    for e, m in zip(exps, mats):
+        assert_same_turns(e, n, m.exponents, m.modulus)
 
 
 def labels(values):
@@ -86,8 +88,7 @@ def test_fra_hra_dra_and_lambda_families_over_every_a(d):
         n, e = verify._fra_family(d, r, a)
         assert_same_full((n, e), [qdft.fra_matrix(d, r, x) for x in range(d)])
         assert_same_full((n, e[:, ::-1]), [qdft.hra_matrix(d, r, x) for x in range(d)])
-        m, row = verify._dra_family(d, r, a)
-        assert_same_monomials((m, np.broadcast_to(np.arange(d), row.shape), row),
+        assert_same_monomials(verify._dra_family(d, r, a),
                               [qdft.dra_matrix(d, r, x) for x in range(d)])
         # a as Python ints: r's denominator times a can pass 2^63
         assert_same_monomials(verify._lambda_ra(d, r, a.astype(object)),
@@ -126,9 +127,7 @@ def test_families_on_drawn_a(d, r, data):
     for f in (weyl.vra_matrix, weyl.vra_band_matrix):
         assert_same_monomials(f(d, r, a), [f(d, r, int(x)) for x in a])
     assert_same_full(verify._fra_family(d, r, a), [qdft.fra_matrix(d, r, int(x)) for x in a])
-    m, row = verify._dra_family(d, r, a)
-    assert_same_monomials((m, np.broadcast_to(np.arange(d), row.shape), row),
-                          [qdft.dra_matrix(d, r, int(x)) for x in a])
+    assert_same_monomials(verify._dra_family(d, r, a), [qdft.dra_matrix(d, r, int(x)) for x in a])
 
 
 def test_stacked_rows_need_integer_a_and_rational_r():

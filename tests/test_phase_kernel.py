@@ -650,7 +650,16 @@ def test_trace_gram_decides_same_pattern_pairs_without_trace_pair(monkeypatch, n
     assert calls == []
 
 
-# -- stacks of one family: the float view and the traces, member by member ----
+# -- stacks of one family: the float view, the traces and the monomial x full
+# product, member by member --------------------------------------------------
+
+def full_stack(mats):
+    """The stack (N, exps) of a family of full matrices over the lcm N of
+    their moduli, built here from each member's exponents."""
+    n = lcm(*(m.modulus for m in mats))
+    exps = [m.exponents.astype(object) * (n // m.modulus) for m in mats]
+    return n, np.array(exps).astype(phases.exponent_dtype(n))
+
 
 @st.composite
 def one_shape_families(draw):
@@ -666,27 +675,46 @@ def one_shape_families(draw):
 @given(one_shape_families())
 def test_stacked_float_view_has_the_bytes_of_to_complex(mats):
     want = np.array([m.to_complex() for m in mats])
-    assert phases._stack_complex(mats).tobytes() == want.tobytes()
+    if mats[0].monomial_view is None:
+        (n, exps), cols = full_stack(mats), None
+    else:
+        n, cols, exps = phases._stack(mats)
+    assert phases._dense_stack(n, cols, exps, mats[0].scaled).tobytes() == want.tobytes()
 
 
 @PROPERTY_SETTINGS
 @given(one_shape_families().filter(lambda mats: mats[0].monomial_view is None))
 def test_full_stack_and_its_diagonal_sums_equal_each_member(mats):
-    n, exps = phases._stack_full(mats)
-    for m, e in zip(mats, exps):
-        turns = [[Fraction(int(x), n) for x in row] for row in e.tolist()]
-        assert turns == table(m)
+    n, exps = full_stack(mats)
     sums = phases._complex_sums(np.diagonal(exps, axis1=1, axis2=2), n)
     for m, s in zip(mats, sums):
         want = m.trace()
         assert m.amplitude * s == want and repr(m.amplitude * s) == repr(want)
 
 
-def test_stacks_take_one_shape_and_one_amplitude():
-    with pytest.raises(ValueError, match="full"):
-        phases._stack_full([fra_matrix(3), u_ab(3, (1, 1))])
-    with pytest.raises(ValueError, match="dimension"):
-        phases._stack_full([fra_matrix(3), fra_matrix(4)])
-    scaled = PhaseMatrix.monomial(range(3), [0, 1, 2], scaled=True)
-    with pytest.raises(ValueError, match="amplitude"):
-        phases._stack_complex([u_ab(3, (1, 1)), scaled])
+def turns_of(exps, n):
+    return [[Fraction(int(e), n) for e in row] for row in exps.tolist()]
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_monomial_full_products_equal_matmul_member_by_member(data):
+    # mixed moduli, among them moduli past 2**53, whose stacks hold Python ints
+    dim = data.draw(st.integers(2, 5))
+    count = data.draw(st.integers(1, 4))
+    monos = [build(data.draw(monomial_tables(dim)), data.draw(st.booleans())) for _ in range(count)]
+    fulls = [build(data.draw(full_tables(dim)), False) for _ in range(count)]
+    mono, full = phases._stack(monos), full_stack(fulls)
+    for x, y, pairs in ((mono, full, zip(monos, fulls)), (full, mono, zip(fulls, monos))):
+        n, exps = phases._monomial_full(x, y)
+        assert exps.dtype == phases.exponent_dtype(n) and len(exps) == count
+        for e, (a, b) in zip(exps, pairs):
+            # @ calls the same rule on stacks of one, so the Fraction
+            # reference is the independent oracle
+            assert turns_of(e, n) == table(a @ b) == ref_product(table(a), table(b))
+    # a full stack of one broadcasts against the monomial family, on each side
+    n0, e0 = full_stack(fulls[:1])
+    for x, y, pairs in (((n0, e0), mono, [(fulls[0], m) for m in monos]),
+                        (mono, (n0, e0), [(m, fulls[0]) for m in monos])):
+        n, exps = phases._monomial_full(x, y)
+        assert [turns_of(e, n) for e in exps] == [ref_product(table(a), table(b)) for a, b in pairs]

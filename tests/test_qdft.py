@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from mubkit import weyl
-from mubkit.phases import PhaseMatrix, _phase_array, _stack_full, q_power
+from mubkit.phases import PhaseMatrix, _phase_array, _stack, exponent_dtype, q_power
 from mubkit.qdft import (_row, fra_matrix, hra_matrix, dra_matrix,
                          forward, inverse, parseval_check, gauss_sum,
                          trace_fra, det_fra, is_generalized_hadamard)
-from mubkit.verify import _diagonalizes, _lambda_ra, _row_symmetries
+from mubkit.verify import _diagonalizes, _fra_family, _lambda_ra
 
 # F_02 at d=6 as exponents of q = exp(i pi/3); row n, column m carries
 # exponent n(6-n)*2/2 + n*m reduced mod 6
@@ -166,6 +166,59 @@ def test_float_row_phases_match_those_of_the_same_float(d):
             assert err < 5e-16 * d
 
 
+def loop_row(d, r, a, rows=None):
+    """The row phases as the per-row loop evaluated them before the array
+    expression: Python ints for rational r, Python floats for a float r;
+    every row, or the rows listed."""
+    exact = not isinstance(r, float)
+    rn, rd = (r.numerator, r.denominator) if exact else (r, 1)
+    den = 4 * rd
+    n = den * d
+    ka, kr = 2 * (a % d) * rd, (d - 1) * rn
+    return [(ka * i * (d - i) % n + kr * (d - 1 - 2 * i)) % n
+            for i in (range(d) if rows is None else rows)], den
+
+
+def same_row(got, want):
+    """Equal dtypes and values: equal bytes, or equal Python ints in an
+    object array."""
+    return got.dtype == want.dtype and (got.tolist() == want.tolist() if got.dtype == object
+                                        else got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 13, 100, 1000, 2 ** 17 + 1])
+def test_float_row_has_the_bytes_of_the_loop(d):
+    # the float r term is not reduced before the sum, so each entry takes
+    # the loop's float operations: int to float, multiply, add, then %
+    for r in (0.37, -1.3, 1.95, 0.05, -2.0, 1e-9, 1.234567):
+        for a in sorted({0, 1, d // 2, d - 1}) if d < 2 ** 17 else (d // 3,):
+            want, den = loop_row(d, r, a)
+            got, got_den = _row(d, r, a)
+            assert got_den == den and same_row(got, np.array(want, dtype=float))
+
+
+@pytest.mark.parametrize("d", [2, 5, 13, 97])
+def test_row_of_an_int_a_equals_that_of_a_0d_or_1d_array(d):
+    for r in (0, 1, Fraction(1, 3), Fraction(-3, 7), Fraction(1, 10 ** 20 + 7)):
+        for a in range(d):
+            row, den = _row(d, r, a)
+            want, _ = loop_row(d, r, a)
+            assert same_row(row, np.array(want, dtype=exponent_dtype(den * d)))
+            for arr in (np.array(a), np.array([a]), np.array([a + d], dtype=np.int32)):
+                got, got_den = _row(d, r, arr)
+                assert got_den == den and same_row(got.reshape(-1), row)
+
+
+def test_rational_row_stays_int64_up_to_the_cli_bound():
+    # every term of the row is below den d^2, so at d = 10^6 (the largest
+    # transform the CLI takes) and r = 1/3 the row needs no Python ints
+    d = 10 ** 6
+    rows = [0, 1, 12345, d // 2, d - 1]
+    row, den = _row(d, Fraction(1, 3), 5)
+    assert row.dtype == np.int64 and den == 12
+    assert row[rows].tolist() == loop_row(d, Fraction(1, 3), 5, rows)[0]
+
+
 def test_forward_length_mismatch():
     with pytest.raises(ValueError):
         forward(np.ones(3), 4)
@@ -319,9 +372,10 @@ def entrywise_row_symmetry(f, d, r, a):
 
 
 def stacked_row_symmetry(f, d, r, a):
-    """The row symmetry as the registered check decides it: on a stack,
-    here of one."""
-    return bool(_row_symmetries(f.exponents[None], f.modulus, d, r, np.array([a]))[0])
+    """The row symmetry as the registered check decides it: V_ra H_ra ==
+    H_ra Lambda_ra on stacks, here of one, with H_ra = f, rows reversed."""
+    v, lam = _stack([weyl.vra_matrix(d, r, a)]), _stack([_lambda_ra(d, r, a)])
+    return bool(_diagonalizes(v, (f.modulus, f.exponents[None, ::-1]), lam)[0])
 
 
 @pytest.mark.parametrize("d, r, a, n, al", [
@@ -342,15 +396,15 @@ def test_row_symmetry_both_forms_flag_a_corrupted_entry(d, r, a, n, al):
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_hra_diagonalizes_vra_and_its_neighbour_does_not(d):
-    # the registered check qdft.hra_diagonalizes_vra on the stacks of V_ra
-    # and Lambda_ra over a, and its negative control: H_r,a+1 in place of
-    # H_ra fails in every case
+    # the registered check qdft.hra_diagonalizes_vra on the stacks of V_ra,
+    # H_ra (F_ra with its rows reversed) and Lambda_ra over a, and its
+    # negative control: H_r,a+1 in place of H_ra fails in every case
     a = np.arange(d)
     for r in (0, Fraction(1, 3), Fraction(1, 2)):
         v, lam = weyl.vra_matrix(d, r, a), _lambda_ra(d, r, a)
-        assert _diagonalizes(v, _stack_full([hra_matrix(d, r, b) for b in range(d)]), lam).all()
-        assert not _diagonalizes(v, _stack_full([hra_matrix(d, r, b + 1) for b in range(d)]),
-                                 lam).any()
+        n, e = _fra_family(d, r, a)
+        assert _diagonalizes(v, (n, e[:, ::-1]), lam).all()
+        assert not _diagonalizes(v, (n, np.roll(e, -1, axis=0)[:, ::-1]), lam).any()
 
 
 @pytest.mark.parametrize("d", range(2, 13))

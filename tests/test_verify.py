@@ -12,6 +12,7 @@ import pytest
 from mubkit import mub, phases, qdft, quon, verify, weyl
 from mubkit.phases import PhaseMatrix, q_power
 from mubkit.verify import INVARIANTS, SUITES, run_suite
+from test_qdft import entrywise_row_symmetry
 
 # checks per suite that `mubkit verify <suite> --d-max 13` reported when
 # the benchmark was introduced (perfbench/oracle.py): a suite may gain
@@ -217,15 +218,17 @@ def gaussian_factorization_cases():
 
 
 def row_symmetry_cases():
+    # the row relations entry by entry in ExactPhase products, independent
+    # of the V_ra H_ra == H_ra Lambda_ra kernel the check runs
     for d, r, a in dra_cases(13, (0, 1)):
-        f = qdft.fra_matrix(d, r, a)
-        yield bool(verify._row_symmetries(f.exponents[None], f.modulus, d, r, np.array([a]))[0])
+        yield entrywise_row_symmetry(qdft.fra_matrix(d, r, a), d, r, a)
 
 
 def hra_diagonalizes_vra_cases():
     for d, r, a in dra_cases(8, (0, Fraction(1, 3), Fraction(1, 2))):
         v, lam = phases._stack([weyl.vra_matrix(d, r, a)]), phases._stack([verify._lambda_ra(d, r, a)])
-        yield bool(verify._diagonalizes(v, phases._stack_full([qdft.hra_matrix(d, r, a)]), lam)[0])
+        h = qdft.hra_matrix(d, r, a)
+        yield bool(verify._diagonalizes(v, (h.modulus, h.exponents[None]), lam)[0])
 
 
 def trace_two_route_cases():
@@ -402,8 +405,8 @@ def test_a_dra_family_with_its_phase_dropped_fails_the_gaussian_factorization(mo
     real = verify._dra_family
 
     def dropped(d, r, a):
-        n, row = real(d, r, a)
-        return n, np.zeros_like(row)
+        n, cols, row = real(d, r, a)
+        return n, cols, np.zeros_like(row)
 
     monkeypatch.setattr(verify, "_dra_family", dropped)
     cases = family_cases("qdft.gaussian_factorization")
