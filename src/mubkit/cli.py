@@ -14,6 +14,7 @@ including input beyond the resource and accuracy bounds below.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -38,17 +39,21 @@ __all__ = ["main", "render_document", "parse_document", "payload_to_matrix"]
 # `mub`, d for `transform`.  10^6 entries is a JSON document of about
 # 20 MB; it admits `matrix --d 1000`, `mub --p 97` and `transform --d 10^6`.
 MAX_PAYLOAD_ENTRIES = 10 ** 6
-# `gauss` adds its |w| terms one at a time.
+# `gauss` adds its |w| terms left to right, in blocks of bounded memory,
+# so its run time grows with |w|.
 MAX_GAUSS_TERMS = 10 ** 7
 # `fbar` sums 3-jm symbols in floating point.  Against sympy's exact
 # wigner_3j at j1 = j2 = j3 = j their error grows from about 3e-13 at
 # j = 20 to 7e-11 at j = 30 and 2e-9 at j = 40.
 MAX_FBAR_TWO_J = 40
-# Only the `qdft` suite of `verify` has no dimension cap of its own (the
-# others stop at 16 or below), so a larger --d-max only grows qdft: its
-# d_max^2 (d, r, a) cases each build d x d matrices, about d_max^3 in all.
-# `verify qdft --d-max` took 0.020 s at 13, 0.12 s at 32, 0.44 s at 48 and
-# 1.3 s at 64, `verify all --d-max 32` 0.22 s (in-process, 2-core x86 host, Python 3.11).
+# Beyond --d-max 16 only six checks of the `qdft` suite grow (unitarity,
+# gaussian_factorization, row_symmetry, trace_two_route, parseval and
+# hadamard_family); every other check stops at d = 16 or below (weyl's
+# sampled_large_dimension at 16, the rest at 13 or below).  Their d_max^2
+# (d, r, a) cases each take d x d matrices, about d_max^3 in all.
+# `verify qdft --d-max` took 0.023 s at 13, 0.14 s at 32, 0.72 s at 48 and
+# 2.0 s at 64, `verify all --d-max` 0.20 s at 13 and 0.38 s at 32
+# (in-process, best of 3, shared 2-core x86 host, Python 3.11, one BLAS thread).
 MAX_VERIFY_D = 32
 
 
@@ -409,7 +414,7 @@ def cmd_gauss(args) -> tuple[dict, int]:
     v = parse_rational(args.v)
     if abs(args.w) > MAX_GAUSS_TERMS:
         raise UsageError(f"|w| = {abs(args.w)} exceeds {MAX_GAUSS_TERMS}: the sum "
-                         f"adds |w| terms one by one, so the run time grows with |w|")
+                         f"adds |w| terms, so the run time grows with |w|")
     value = qdft.gauss_sum(args.u, v, args.w)
     params = {"u": args.u, "v": _rational_tag(v), "w": args.w}
     return document("gauss", params, scalar_payload(value)), 0
@@ -503,7 +508,10 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+(/\d+)?|\d*\.?\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every call of main reads the same tree."""
     parser = _Parser(
         prog="mubkit",
         description="quadratic Fourier matrices, Pauli operator families and "
@@ -570,8 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the handler as this module binds it now, so that a function rebound
+    # after the parser was built (a tracer's wrapper) is the one called
+    handler = globals()[args.handler.__name__]
     try:
-        doc, code = args.handler(args)
+        doc, code = handler(args)
         output = render_document(doc, args.format)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,16 @@ tensor products of the d = 2 bases, two of them re-mixed by the fixed
 coefficients (1 -+ i)/2.  The same Fourier family also induces the
 partition of the nonidentity generalized Pauli matrices into d + 1
 commuting classes, one per basis.
+
+A set is decided as one stack.  ``mub_prime`` builds its p Fourier bases
+from one pass of qdft's exponent formula over a = 0..p-1, each basis
+keeping its own exact matrix; ``MubSet.vectors``, the complex
+(bases, d, d) stack, is made only when a check reads it.  The residual
+kernels decide every pair of bases, basis i against bases i+1.. in one
+stacked product, and every basis's orthonormality in one more, with the
+bytes of the one-pair ``unbiasedness`` and ``orthonormality``, which
+stay as the reference.  ``gauss_inner_product`` takes broadcast arrays,
+so a table of Gauss-sum overlaps is one array pass of ``gauss_sum``.
 """
 
 from __future__ import annotations
@@ -16,12 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import sqrt
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
-from .phases import PhaseMatrix, _primes, pairwise_products
-from .qdft import fra_matrix, gauss_sum, hra_matrix, is_generalized_hadamard
+from .phases import PhaseMatrix, _phase_array, _primes, is_rational, pairwise_products
+from .qdft import _exponents, _product, fra_matrix, gauss_sum, hra_matrix, is_generalized_hadamard
 from .weyl import _gram_residual, u_ab
 
 Real = Union[int, Fraction, float]
@@ -76,6 +86,11 @@ class MubSet:
         if self.declared_complete and len(self.bases) != self.dim + 1:
             raise ValueError("a complete set must hold dim + 1 bases")
 
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The (bases, dim, dim) stack of every basis's ``vectors``."""
+        return np.stack([b.vectors for b in self.bases])
+
 
 def is_prime(n: int) -> bool:
     """Trial division; fine at desk scale."""
@@ -86,8 +101,16 @@ def _computational_basis(d: int) -> Basis:
     return Basis(d, PhaseMatrix.identity(d), "computational")
 
 
-def _fourier_basis(d: int, r: Real, a: int) -> Basis:
-    return Basis(d, hra_matrix(d, r, a), f"r={r},a={a}")
+def _fourier_bases(d: int, r: Real, a: np.ndarray) -> list[Basis]:
+    """The bases H_ra for each a of an integer array, from one pass of
+    qdft's exponent formula: each the matrix hra_matrix(d, r, a) gives."""
+    e, den = _exponents(d, r, a)
+    n, rows = den * d, e[:, ::-1]
+    if is_rational(r):
+        mats = [PhaseMatrix._from_full(True, n, m) for m in rows % n]
+    else:
+        mats = _phase_array(rows, n) / sqrt(d)
+    return [Basis(d, m, f"r={r},a={k}") for k, m in zip(a.tolist(), mats)]
 
 
 def mub_prime(p: int, r: Real = 0) -> MubSet:
@@ -98,8 +121,7 @@ def mub_prime(p: int, r: Real = 0) -> MubSet:
             f"complete set of d+1 mutually unbiased bases in prime dimension; "
             f"for composite d use mub_three, which returns the guaranteed "
             f"triple of unbiased bases")
-    bases = [_fourier_basis(p, r, a) for a in range(p)]
-    bases.append(_computational_basis(p))
+    bases = _fourier_bases(p, r, np.arange(p)) + [_computational_basis(p)]
     return MubSet(p, bases, declared_complete=True)
 
 
@@ -108,8 +130,7 @@ def mub_three(d: int, r: Real = 0, a: int = 0) -> MubSet:
     (parameters a and a+1) plus the computational basis."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    bases = [_fourier_basis(d, r, a % d), _fourier_basis(d, r, (a + 1) % d),
-             _computational_basis(d)]
+    bases = _fourier_bases(d, r, np.array([a % d, (a + 1) % d])) + [_computational_basis(d)]
     return MubSet(d, bases, declared_complete=False)
 
 
@@ -126,27 +147,63 @@ def orthonormality(b: Basis) -> float:
     return float(np.max(np.abs(b.vectors.conj().T @ b.vectors - np.eye(b.dim))))
 
 
+# most overlaps a residual kernel holds at once, 4 MB as complex: bases are
+# taken in runs of _PAIR_BLOCK // d^2, and at least one
+_PAIR_BLOCK = 1 << 18
+
+
+def _runs(vecs: np.ndarray) -> Iterator[np.ndarray]:
+    """The stack vecs of bases in consecutive runs, views of at most
+    _PAIR_BLOCK overlaps' worth of bases each (at least one basis)."""
+    step = max(1, _PAIR_BLOCK // vecs.shape[-1] ** 2)
+    return (vecs[j:j + step] for j in range(0, len(vecs), step))
+
+
+def _max_gap(gap: np.ndarray, target) -> np.ndarray:
+    """max |gap - target| over each matrix of a stack, subtracting in gap's
+    buffer: the float operations of np.max(np.abs(gap - target))."""
+    gap -= target
+    return np.maximum.reduce(np.abs(gap).reshape(len(gap), -1), axis=1)
+
+
+def _unbiasedness_residuals(vecs: np.ndarray) -> np.ndarray:
+    """unbiasedness of every pair i < j of the stack vecs of bases, in
+    row-major order, with its bytes: basis i meets each run of bases after
+    it in one stacked @, whose slices are the one-pair products."""
+    flat = 1.0 / sqrt(vecs.shape[-1])
+    out = [np.empty(0)]
+    for i in range(len(vecs) - 1):
+        adjoint = vecs[i].conj().T
+        out += [_max_gap(np.abs(adjoint @ run), flat) for run in _runs(vecs[i + 1:])]
+    return np.concatenate(out)
+
+
+def _orthonormality_residuals(vecs: np.ndarray) -> np.ndarray:
+    """orthonormality of each basis of the stack vecs, with its bytes."""
+    eye = np.eye(vecs.shape[-1])
+    return np.concatenate([np.empty(0)] + [
+        _max_gap(np.swapaxes(run.conj(), 1, 2) @ run, eye) for run in _runs(vecs)])
+
+
 def max_pairwise_deviation(mubs: MubSet) -> float:
-    """Worst unbiasedness deviation over all distinct basis pairs."""
-    worst = 0.0
-    for i, b1 in enumerate(mubs.bases):
-        for b2 in mubs.bases[i + 1:]:
-            worst = max(worst, unbiasedness(b1, b2))
-    return worst
+    """Worst unbiasedness deviation over all distinct basis pairs; nan if
+    any pair's is nan."""
+    return float(np.max(_unbiasedness_residuals(mubs.vectors), initial=0.0))
 
 
-def gauss_inner_product(p: int, r: Real, a: int, alpha: int, b: int, beta: int) -> complex:
+def gauss_inner_product(p: int, r: Real, a, alpha, b, beta):
     """Inner product of Fourier basis vectors via a quadratic Gauss sum.
 
     <a alpha; r | b beta; r> = S(a-b, -(a-b)p - 2(alpha-beta), p) / p; the
     r-dependence cancels.  Requires a != b mod p; for p prime the modulus
-    is 1/sqrt(p).
+    is 1/sqrt(p).  Integer arrays broadcast to an array of inner products,
+    from one gauss_sum.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    if (a - b) % p == 0:
+    if np.any((a - b) % p == 0):
         raise ValueError("the Gauss-sum route needs distinct basis labels a != b")
-    return gauss_sum(a - b, -(a - b) * p - 2 * (alpha - beta), p) / p
+    return _product(1, gauss_sum(a - b, -(a - b) * p - 2 * (alpha - beta), p), p)
 
 
 def product_hadamard(p: int, r: Real, a: int, b: int):

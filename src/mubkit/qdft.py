@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fmod, pi, sqrt
+from math import pi, sqrt
 from typing import Union
 
 import cmath
@@ -71,14 +71,12 @@ def _row(d: int, r: Real, a) -> tuple[np.ndarray, int]:
     (float(r), 1) for a float r.  den = 4 rd and the row is reduced mod
     den * d; the array holds integers for rational r and floats otherwise.
     The a term is an integer below den * d, so a float row carries only
-    the rounding of its r term.  a is an int or, for rational r, an
-    integer array, along whose axes the rows stack.  Every term is below
-    den * d^2: int64 while that is below 2^53, Python ints beyond.
+    the rounding of its r term.  a is an int or an integer array, along
+    whose axes the rows stack.  Every term is below den * d^2: int64 while
+    that is below 2^53, Python ints beyond.
     """
     a = _checked_a(d, a)
     exact = is_rational(r)
-    if isinstance(a, np.ndarray) and not exact:
-        raise TypeError("a stacked row needs a rational r")
     rn, rd = (r.numerator, r.denominator) if exact else (float(r), 1)
     den = 4 * rd
     n = den * d
@@ -162,30 +160,66 @@ def parseval_check(x, xp, d: int, r: Real = 0, a: int = 0) -> tuple[complex, com
     return complex(np.vdot(y, yp)), complex(np.vdot(x, xp))
 
 
-def gauss_sum(u: int, v: Real, w: int) -> complex:
-    """S(u, v, w) = sum_{k=0}^{|w|-1} exp(i*pi*(u k^2 + v k)/w) by direct summation.
+# terms gauss_sum holds at once, so its memory is bounded for any |w|
+_GAUSS_BLOCK = 1 << 16
 
-    S has period 2|w| in u and in v, so both are first reduced modulo 2|w|:
-    exactly for ints and Fractions, and with fmod, which is exact, for
-    floats.  The float angle then never carries more than one period.
+
+def gauss_sum(u, v: Real, w: int):
+    """S(u, v, w) = sum_{k=0}^{|w|-1} exp(i*pi*(u k^2 + v k)/w) by direct
+    summation, the terms added left to right in k.
+
+    u is an int and v an int, a Fraction or a float; or either is an array
+    (integer u, integer or float v) and the two broadcast to an array of
+    sums, one per (u, v), each summed as the scalar one.  S has period
+    2|w| in u and in v, and each term has it in u k^2 and v k, so these are
+    reduced modulo 2|w|: exactly for integers and Fractions, with fmod,
+    which is exact, for floats.  A term is then the root of unity of its
+    reduced exponent over 2|w| (phases._phase_array, exact on quarter
+    turns).  The sum runs over blocks of k, _GAUSS_BLOCK terms at once, so
+    time is O(|w|) and memory is bounded independently of |w|.
     """
     if w == 0:
         raise ValueError("w must be nonzero")
     period = 2 * abs(w)
-    u %= period
-    vf = float(fmod(v, period) if isinstance(v, float) else v % period)
-    return sum(cmath.exp(1j * pi * (u * k * k + vf * k) / w) for k in range(abs(w)))
+    dt = exponent_dtype(2 * period * period)
+    u = np.asarray(u % period).astype(dt)
+    if isinstance(v, Fraction):
+        v = float(v % period)
+    v = np.asarray(v)
+    v = np.fmod(v, period) if v.dtype.kind == "f" else np.asarray(v % period).astype(dt)
+    total = np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=complex)
+    step = max(1, _GAUSS_BLOCK // max(total.size, 1))
+    for k0 in range(0, abs(w), step):
+        k = np.arange(k0, min(k0 + step, abs(w)), dtype=dt)
+        e = (u[..., None] * (k * k % period) + v[..., None] * k) % period
+        terms = _phase_array(e if w > 0 else -e % period, period)
+        # one running sum: the previous total, then the block's terms in order
+        total = np.concatenate([total[..., None], terms], axis=-1).cumsum(axis=-1)[..., -1]
+    return complex(total) if total.ndim == 0 else total
 
 
-def trace_fra(d: int, r: Real = 0, a: int = 0) -> complex:
+def trace_fra(d: int, r: Real = 0, a=0):
     """Closed-form trace of F_ra via a quadratic Gauss sum.
 
-    tr F_ra = exp(i*pi*(d-1)^2 r/(2d)) S(2-a, d(a-r)+r, d) / sqrt(d).
+    tr F_ra = exp(i*pi*(d-1)^2 r/(2d)) S(2-a, d(a-r)+r, d) / sqrt(d);
+    an integer array a gives the traces along it, from one gauss_sum.
     """
     a = _checked_a(d, a)
     rf = float(r)
     s = gauss_sum(2 - a, d * (a - rf) + rf, d)
-    return cmath.exp(1j * pi * (d - 1) ** 2 * rf / (2 * d)) * s / sqrt(d)
+    return _product(cmath.exp(1j * pi * (d - 1) ** 2 * rf / (2 * d)), s, sqrt(d))
+
+
+def _product(c: complex, s, x: float):
+    """c s / x for a complex or a complex array s, by parts, with the float
+    operations of Python's complex * and /: so an array gives each entry
+    the bytes of the scalar call, where numpy's complex ufuncs may fuse a
+    product or divide by a reciprocal, an ulp apart."""
+    s = np.asarray(s)
+    t = np.empty(s.shape, dtype=complex)
+    t.real = (c.real * s.real - c.imag * s.imag) / x
+    t.imag = (c.real * s.imag + c.imag * s.real) / x
+    return complex(t) if t.ndim == 0 else t
 
 
 def det_fra(d: int, a: int) -> complex:

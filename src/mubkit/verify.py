@@ -26,9 +26,17 @@ in array passes: monomial identities as products on one stack
 (``phases._monomial_full``, compared by ``_same``), float ones on dense
 ``(A, d, d)`` stacks (``phases._dense_stack``) with one stacked ``@``.
 Undecided exact sums go through ``phases._complex_sums`` in row
-order, as ``trace_pair`` sums them.  An exact check yields one builtin
-bool per case; a float check may yield one residual per batch, ``np.max``
-of it, which keeps nan.
+order, as ``trace_pair`` sums them.  A set of bases is decided as one
+stack: ``MubSet.vectors`` through mub's residual kernels, every pair and
+every basis with the bytes of the one-pair ``unbiasedness`` and
+``orthonormality`` (``_basis_set_residuals``, also the report of ``mub
+--verify``).  A closed-form route over many arguments is one array call
+of the library's own function: ``gauss_inner_product`` over the table of
+differences, ``trace_fra`` over every a, ``np.linalg.det`` over a family
+stack.  A verdict two checks share is a memo family too
+(``_diagonalizes_family``), decided once per sweep.  An exact check
+yields one builtin bool per case; a float check may yield one residual
+per batch, ``np.max`` of it, which keeps nan.
 """
 
 from __future__ import annotations
@@ -85,6 +93,8 @@ def _lambda_ra(d: int, r, a):
     """Lambda_ra = diag(q^{(d-1)(r+a)/2 - alpha}) = q^{(d-1)(r+a)/2} Z^{-1}."""
     r = Fraction(r)
     u, v = r.numerator, r.denominator
+    if (d - 1) * (abs(u) + weyl._largest(a) * v) >= weyl._INT64_LIMIT:
+        a, = weyl._wide(a)
     return weyl._shift_clock(d, 0, -1, (d - 1) * (u + a * v), 2 * v)
 
 
@@ -117,14 +127,21 @@ def _diagonalizes(v: tuple, h: tuple, lam: tuple) -> np.ndarray:
 _BASIS_TOLERANCE = 1e-10
 
 
+def _basis_set_residuals(ms: mub.MubSet) -> list[float]:
+    """Unbiasedness of every pair of bases of ms, in row-major order, then
+    orthonormality of each basis: mub's residual kernels on the set's stack."""
+    return (mub._unbiasedness_residuals(ms.vectors).tolist()
+            + mub._orthonormality_residuals(ms.vectors).tolist())
+
+
 def _basis_set_checks(ms: mub.MubSet) -> list[CheckResult]:
-    """Unbiasedness of every pair of bases of ms, then orthonormality of
-    each basis, at one tolerance: the report of ``mubkit mub --verify``."""
-    pairs = [CheckResult(f"unbiased[{b1.label}|{b2.label}]", mub.unbiasedness(b1, b2),
-                         _BASIS_TOLERANCE)
-             for i, b1 in enumerate(ms.bases) for b2 in ms.bases[i + 1:]]
-    return pairs + [CheckResult(f"orthonormal[{b.label}]", mub.orthonormality(b),
-                                _BASIS_TOLERANCE) for b in ms.bases]
+    """The residuals of _basis_set_residuals, named, at one tolerance: the
+    report of ``mubkit mub --verify``."""
+    labels = [b.label for b in ms.bases]
+    names = ([f"unbiased[{x}|{y}]" for i, x in enumerate(labels) for y in labels[i + 1:]]
+             + [f"orthonormal[{x}]" for x in labels])
+    return [CheckResult(name, x, _BASIS_TOLERANCE)
+            for name, x in zip(names, _basis_set_residuals(ms))]
 
 
 def _products_agree(stack: tuple, index, turns=0, den: int = 1) -> list[bool]:
@@ -382,11 +399,17 @@ class _Sweep:
                              self.family(_fra_family, d, r)).tolist()
 
     def diagonalizes(self, dims, rs) -> Iterator[bool]:
-        """V_ra H_ra == H_ra Lambda_ra for each (d, r, a), H_ra = F_ra with its rows reversed."""
+        """V_ra H_ra == H_ra Lambda_ra for each (d, r, a), H_ra = F_ra with its
+        rows reversed; each (d, r) family's verdicts are decided once per
+        sweep, in the memo, and shared by the checks that read them."""
         for d, r in itertools.product(dims, rs):
-            n, e = self.family(_fra_family, d, r)
-            yield from _diagonalizes(self.family(weyl.vra_matrix, d, r), (n, e[:, ::-1]),
-                                     self.family(_lambda_ra, d, r)).tolist()
+            yield from self.family(self._diagonalizes_family, d, r).tolist()
+
+    def _diagonalizes_family(self, d: int, r, a: np.ndarray) -> np.ndarray:
+        # a is arange(d), as for every memo family; the families read it too
+        n, e = self.family(_fra_family, d, r)
+        return _diagonalizes(self.family(weyl.vra_matrix, d, r), (n, e[:, ::-1]),
+                             self.family(_lambda_ra, d, r))
 
     @_invariant("qdft.row_symmetry")
     def _row_symmetry(self):
@@ -407,7 +430,8 @@ class _Sweep:
     @_invariant("qdft.trace_two_route", 1e-10)
     def _trace_two_route(self):
         for d, r in itertools.product(self.qdft_dims, (0, Fraction(1, 2), 1)):
-            closed = [qdft.trace_fra(d, r, a) for a in range(d)]
+            # every a's closed form from one gauss_sum
+            closed = qdft.trace_fra(d, r, np.arange(d)).tolist()
             # the diagonals summed as trace_pair sums them: m.trace()'s bytes
             n, e = self.family(_fra_family, d, r)
             direct = phases._complex_sums(np.diagonal(e, axis1=1, axis2=2), n)
@@ -416,9 +440,9 @@ class _Sweep:
     @_invariant("qdft.determinant_two_route", 1e-9)
     def _determinant_two_route(self):
         for d in self.upto(10):
-            for a in range(d):
-                direct = complex(np.linalg.det(qdft.fra_matrix(d, 0, a).to_complex()))
-                yield abs(qdft.det_fra(d, a) - direct)
+            n, e = self.family(_fra_family, d, 0)
+            direct = np.linalg.det(phases._dense_stack(n, None, e, True))
+            yield from (abs(qdft.det_fra(d, a) - x) for a, x in enumerate(direct.tolist()))
 
     @_invariant("qdft.parseval_and_round_trip", 1e-12)
     def _parseval_and_round_trip(self):
@@ -552,21 +576,20 @@ class _Sweep:
     def _prime_complete_sets(self):
         for p in self.primes:
             for r in (0, 1, Fraction(1, 2)):
-                for c in _basis_set_checks(mub.mub_prime(p, r)):
-                    yield c.residual
+                yield from _basis_set_residuals(mub.mub_prime(p, r))
 
     @_invariant("mub.gauss_two_route", 1e-10, min_d_max=3)
     def _gauss_two_route(self):
         # every <a alpha|b beta>, a != b, of the p Fourier bases: one Gram,
-        # against one Gauss sum per pair of differences (a - b, alpha - beta)
+        # against the table of Gauss sums over the differences
+        # (a - b, alpha - beta), a - b != 0, from one gauss_inner_product
         for p in [q for q in self.primes if q > 2]:
-            # the Gauss sums before the Gram: on an AVX-512 x86-64 host with
-            # OpenBLAS, cmath.exp ran up to 6x slower right after a complex @
-            diffs = range(1 - p, p)
-            closed = np.array([[mub.gauss_inner_product(p, 0, max(u, 0), max(v, 0),
-                                                        max(u, 0) - u, max(v, 0) - v)
-                                if u else np.nan for v in diffs] for u in diffs])
-            vecs = np.array([b.vectors for b in mub.mub_prime(p, 0).bases[:p]])
+            diffs = np.arange(1 - p, p)
+            u, v = diffs[diffs != 0, None], diffs
+            a, alpha = np.maximum(u, 0), np.maximum(v, 0)
+            closed = np.full((2 * p - 1, 2 * p - 1), np.nan, dtype=complex)
+            closed[diffs != 0] = mub.gauss_inner_product(p, 0, a, alpha, a - u, alpha - v)
+            vecs = mub.mub_prime(p, 0).vectors[:p]
             direct = vecs.conj().transpose(0, 2, 1)[:, None] @ vecs[None]
             a, b, alpha, beta = np.ogrid[:p, :p, :p, :p]
             gap = np.abs(direct - closed[a - b + p - 1, alpha - beta + p - 1])
@@ -617,16 +640,21 @@ class _Sweep:
 
     @_invariant("mub.class_eigenbasis_association", 1e-10)
     def _class_eigenbasis_association(self):
+        # u @ col == lam col for each member u of class a + 1 and each
+        # column col of H_0a: the images of a class are one us @ H, where a
+        # monomial u leaves one term per entry, so no summation order enters
         for p in [q for q in self.primes if q <= 7]:
             classes = mub.commuting_classes(p)
+            n, e = self.family(_fra_family, p, 0)
+            bases = phases._dense_stack(n, None, e[:, ::-1], True)
             for a in range(p):
-                basis = qdft.hra_matrix(p, 0, a).to_complex()
-                for member in classes[a + 1].members:
-                    u = weyl.u_ab(p, member).to_complex()
-                    for alpha in range(p):
-                        col = basis[:, alpha]
-                        lam = complex(np.vdot(col, u @ col))
-                        yield float(np.max(np.abs(u @ col - lam * col)))
+                members = np.array(classes[a + 1].members)
+                us = phases._dense_stack(*weyl._shift_clock(p, members[:, 0], members[:, 1]))
+                h = bases[a]
+                image = us @ h
+                lam = np.vecdot(h, image, axis=-2)
+                # residual of (member, alpha), member major
+                yield from np.max(np.abs(image - lam[:, None] * h), axis=1).ravel().tolist()
 
     # -- wigner --------------------------------------------------------------
 

@@ -89,7 +89,24 @@ def _shift_clock(d: int, shift, clock, phase=0, den: int = 1):
 
 
 # label maps: a builder is _shift_clock of its labels (shift, clock, phase,
-# den), evaluated on ints for one matrix or on integer arrays for a stack
+# den), evaluated on ints for one matrix or on integer arrays for a stack;
+# a map whose int64 arithmetic on arrays could pass 2**63 computes in
+# Python ints (_wide) instead, as the scalar path does
+
+_INT64_LIMIT = 2 ** 63
+
+
+def _largest(x) -> int:
+    """max |x| over an int or an integer array, 0 for an empty array."""
+    if type(x) is not _ARRAY:
+        return abs(x)
+    return max(abs(int(x.min())), abs(int(x.max()))) if x.size else 0
+
+
+def _wide(*labels) -> tuple:
+    """labels, each array among them as an object array of Python ints."""
+    return tuple(x.astype(object) if type(x) is _ARRAY else x for x in labels)
+
 
 def _pauli_labels(a, b, c):
     """P(a, b, c) = q^a X^b Z^c."""
@@ -98,6 +115,8 @@ def _pauli_labels(a, b, c):
 
 def _t_labels(n1, n2):
     """T_(n1,n2) = q^{n1 n2/2} Z^{n1} X^{n2} = q^{-n1 n2/2} X^{n2} Z^{n1}."""
+    if _ARRAY in (type(n1), type(n2)) and _largest(n1) * _largest(n2) >= _INT64_LIMIT:
+        n1, n2 = _wide(n1, n2)
     return n2, n1, -n1 * n2, 2
 
 

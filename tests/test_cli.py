@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,20 +252,29 @@ def test_json_rendering_refuses_nan():
         render_document(doc, "json")
 
 
-def test_mub_builds_each_hra_once(capsys, monkeypatch):
-    from mubkit import mub, qdft
-    calls = []
-    real = qdft.hra_matrix
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+def test_mub_builds_its_fourier_bases_in_one_family_pass(capsys, monkeypatch, verify):
+    # the p bases of H_ra come from one evaluation of the exponent formula
+    # over a = 0..p-1, and the complex stack of the set only with --verify
+    from mubkit import mub, phases, qdft
+    calls, dense = [], []
+    real, real_dense = qdft._exponents, phases._dense
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(qdft, "hra_matrix", counted)
-    monkeypatch.setattr(mub, "hra_matrix", counted)
-    code, _, _ = run(capsys, "mub", "--p", "7", "--r", "1/3", "--format", "json")
+    def counted_dense(*args):
+        dense.append(args)
+        return real_dense(*args)
+
+    monkeypatch.setattr(mub, "_exponents", counted)
+    monkeypatch.setattr(phases, "_dense", counted_dense)
+    code, _, _ = run(capsys, "mub", "--p", "7", "--r", "1/3", *verify, "--format", "json")
     assert code == 0
-    assert len(calls) == 7
+    [(d, r, a)] = calls
+    assert (d, r) == (7, Fraction(1, 3)) and a.tolist() == list(range(7))
+    assert len(dense) == (8 if verify else 0)
 
 
 def test_usage_error_exit_code_from_argparse():
@@ -518,7 +531,7 @@ def test_verify_nan_residual_fails(capsys, monkeypatch):
     # nan compares false with everything, so a max over the cases would
     # pass it over; the check must fail with residual inf instead
     from mubkit import qdft
-    monkeypatch.setattr(qdft, "trace_fra", lambda d, r=0, a=0: complex("nan"))
+    monkeypatch.setattr(qdft, "trace_fra", lambda d, r=0, a=0: np.full(np.shape(a), complex("nan")))
     code, out, _ = run(capsys, "verify", "qdft", "--d-max", "3", "--format", "pretty")
     assert code == 1
     assert "FAIL  qdft.trace_two_route" in out and "residual inf" in out
@@ -554,13 +567,33 @@ def test_mub_verify_with_a_corrupted_basis_exits_1(capsys, monkeypatch):
 
 
 def test_mub_verify_nan_residual_is_json_null(capsys, monkeypatch):
+    # a first basis whose float view holds a nan, its exact matrix emitted
+    # as built: every residual that reads it is nan, fails and is null
     from mubkit import mub
-    monkeypatch.setattr(mub, "orthonormality", lambda basis: float("nan"))
+    real = mub.mub_prime
+
+    class NanBasis(mub.Basis):
+        @property
+        def vectors(self):
+            vectors = np.asarray(self.matrix, dtype=complex).copy()
+            vectors[0, 0] = complex("nan")
+            return vectors
+
+    def with_nan(p, r=0):
+        ms = real(p, r)
+        first = ms.bases[0]
+        bad = NanBasis(p, first.matrix, first.label)
+        return mub.MubSet(p, [bad] + ms.bases[1:], declared_complete=True)
+
+    monkeypatch.setattr(mub, "mub_prime", with_nan)
     code, out, _ = run(capsys, "mub", "--p", "3", "--verify", "--format", "json")
     report = parse_document(out)["payload"]["verification"]
     assert code == 1 and report["passed"] is False
-    orthonormal = [c for c in report["checks"] if c["name"].startswith("orthonormal")]
-    assert orthonormal and all(c["residual"] is None and not c["passed"] for c in orthonormal)
+    bad = [c for c in report["checks"] if "r=0,a=0" in c["name"]]
+    assert [c["name"] for c in bad] == ["unbiased[r=0,a=0|r=0,a=1]", "unbiased[r=0,a=0|r=0,a=2]",
+                                        "unbiased[r=0,a=0|computational]", "orthonormal[r=0,a=0]"]
+    assert all(c["residual"] is None and c["passed"] is False for c in bad)
+    assert all(c["passed"] for c in report["checks"] if c not in bad)
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (3, 3), (5, 5)])
@@ -676,3 +709,21 @@ def test_fbar_value_json_round_trip(two_js, data):
     spins = ",".join(str(Fraction(tj, 2)) for tj in two_js)
     alphas = ",".join(str(data.draw(st.integers(0, tj))) for tj in two_js)
     assert_json_round_trip(handled("fbar", "--j", spins, "--alpha", alphas))
+
+
+def test_the_parser_is_built_once_and_usage_errors_leave_it_clean(capsys):
+    # main reads one cached parser; after an argparse error and a handler's
+    # usage error in this process, a request prints the bytes of a fresh
+    # interpreter
+    argv = ["mub", "--p", "5", "--r", "1/3", "--verify", "--format", "json"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    fresh = subprocess.run([sys.executable, "-m", "mubkit", *argv], capture_output=True,
+                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["mub", "--p", "five"])
+    assert exc.value.code == 2
+    assert run(capsys, "mub", "--p", "6")[0] == 2
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == fresh.stdout

@@ -130,11 +130,9 @@ def test_families_on_drawn_a(d, r, data):
     assert_same_monomials(verify._dra_family(d, r, a), [qdft.dra_matrix(d, r, int(x)) for x in a])
 
 
-def test_stacked_rows_need_integer_a_and_rational_r():
+def test_stacked_rows_need_integer_a():
     with pytest.raises(TypeError):
         qdft._row(5, 0, np.array([0.5]))
-    with pytest.raises(TypeError):
-        qdft._row(5, 0.25, np.arange(5))
     # labels are integers on both paths, as the scalar builders require
     for a in (1.5, np.array([0.5, 1.0])):
         with pytest.raises(TypeError):
@@ -143,3 +141,15 @@ def test_stacked_rows_need_integer_a_and_rational_r():
             weyl.vra_matrix(5, 0, a)
     with pytest.raises(TypeError):
         weyl._shift_clock(5, np.array([0.5]), 0)
+
+
+@pytest.mark.parametrize("d", [2, 5, 13, 97])
+@pytest.mark.parametrize("r", [0.25, 0.7, -1.237])
+def test_float_r_rows_stack_as_the_scalar_rows(d, r):
+    # a float r takes a stack of a as a rational one does, with the bytes
+    # of each scalar row: mub_prime builds its float bases from it
+    a = np.arange(-d, 2 * d)
+    rows, den = qdft._row(d, r, a)
+    want = [qdft._row(d, r, int(x)) for x in a]
+    assert rows.dtype == float and {w[1] for w in want} == {den}
+    assert rows.tobytes() == np.array([w[0] for w in want]).tobytes()

@@ -9,6 +9,7 @@ from mubkit.mub import (Basis, is_prime, mub_prime, mub_three,
                         gauss_inner_product, product_hadamard, mub_dim4,
                         entanglement_det, commuting_classes, sl_partition_check,
                         _commute_pairwise)
+from mubkit import mub
 from mubkit.qdft import hra_matrix
 from mubkit.weyl import u_ab
 
@@ -312,3 +313,73 @@ def test_sl_partition_check_at_p61_is_exact():
     report = sl_partition_check(61)
     assert report.ok and type(report.gram_residual) is float
 
+
+
+# -- the set as one stack ----------------------------------------------------
+
+def _kernel_sets():
+    for p in (2, 3, 5, 13):
+        for r in (0, Fraction(1, 3), 0.7):
+            yield f"prime-{p}-{r}", mub_prime(p, r)
+    for d in (6, 10):
+        yield f"three-{d}", mub_three(d, Fraction(1, 3), 2)
+    yield "dim4", mub_dim4()
+
+
+@pytest.mark.parametrize("name, ms", list(_kernel_sets()), ids=lambda x: x if isinstance(x, str) else "")
+def test_blocked_kernels_equal_the_one_pair_residuals_bit_for_bit(name, ms):
+    pairs = [unbiasedness(b1, b2) for i, b1 in enumerate(ms.bases) for b2 in ms.bases[i + 1:]]
+    ortho = [orthonormality(b) for b in ms.bases]
+    got_pairs = mub._unbiasedness_residuals(ms.vectors)
+    got_ortho = mub._orthonormality_residuals(ms.vectors)
+    assert got_pairs.tobytes() == np.array(pairs).tobytes()
+    assert got_ortho.tobytes() == np.array(ortho).tobytes()
+    assert max_pairwise_deviation(ms) == max(pairs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 31])
+@pytest.mark.parametrize("r", [0, 1, Fraction(1, 3), Fraction(-3, 7), Fraction(1, 10 ** 20 + 7), 0.7])
+def test_stacked_mub_prime_bases_equal_hra_matrix(p, r):
+    ms = mub_prime(p, r)
+    assert [b.label for b in ms.bases] == [f"r={r},a={a}" for a in range(p)] + ["computational"]
+    for a, basis in enumerate(ms.bases[:p]):
+        want = hra_matrix(p, r, a)
+        if isinstance(want, np.ndarray):
+            assert basis.matrix.tobytes() == want.tobytes()
+        else:
+            assert basis.matrix == want and basis.matrix.modulus == want.modulus
+            assert basis.matrix.exponents.dtype == want.exponents.dtype
+            assert basis.matrix.exponents.tolist() == want.exponents.tolist()
+        assert basis.vectors.tobytes() == np.asarray(want, dtype=complex).tobytes()
+    assert ms.vectors.shape == (p + 1, p, p)
+    assert ms.vectors.tobytes() == np.stack([b.vectors for b in ms.bases]).tobytes()
+
+
+def test_mub_three_takes_its_labels_mod_d():
+    ms = mub_three(6, 0, 6 * 10 ** 30 + 5)
+    assert [b.label for b in ms.bases[:2]] == ["r=0,a=5", "r=0,a=0"]
+    assert ms.bases[0].matrix == hra_matrix(6, 0, 5)
+
+
+def test_max_pairwise_deviation_keeps_a_nan_pair():
+    # a basis with a nan entry: its pairs are nan, and the worst deviation
+    # must say so rather than pass over them
+    ms = mub_prime(3, 0)
+    vectors = ms.bases[0].vectors.copy()
+    vectors[1, 2] = complex("nan")
+    bad = Basis(3, vectors, "bad")
+    assert np.isnan(max_pairwise_deviation(mub.MubSet(3, [bad] + ms.bases[1:])))
+    assert np.isnan(max_pairwise_deviation(mub.MubSet(3, ms.bases[1:] + [bad])))
+    assert max_pairwise_deviation(mub.MubSet(3, ms.bases[:1])) == 0.0
+
+
+def test_gauss_inner_products_broadcast_as_the_scalar_ones():
+    p = 7
+    a, alpha, b, beta = np.ogrid[:p, :p, :p, :p]
+    keep = (a != b) & np.ones((p, p, p, p), dtype=bool)
+    args = [np.broadcast_to(x, keep.shape)[keep] for x in (a, alpha, b, beta)]
+    got = gauss_inner_product(p, 0, *args)
+    want = [gauss_inner_product(p, 0, *map(int, case)) for case in zip(*args)]
+    assert got.tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError):
+        gauss_inner_product(p, 0, np.array([1, 2]), 0, np.array([0, 2]), 0)

@@ -1,10 +1,11 @@
+import cmath
 from fractions import Fraction
-from math import sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
 
-from mubkit import weyl
+from mubkit import qdft, weyl
 from mubkit.phases import PhaseMatrix, _phase_array, _stack, exponent_dtype, q_power
 from mubkit.qdft import (_row, fra_matrix, hra_matrix, dra_matrix,
                          forward, inverse, parseval_check, gauss_sum,
@@ -497,3 +498,58 @@ def test_exact_dra_equals_the_checked_constructor(d):
             m, ref = dra_matrix(d, r, a), PhaseMatrix.monomial(range(d), row, den)
             assert (m.modulus, m.monomial_view, m.scaled) == (ref.modulus, ref.monomial_view,
                                                                ref.scaled)
+
+
+# -- Gauss sums over arrays ----------------------------------------------------
+
+def cmath_gauss_sum(u, v, w):
+    """S(u, v, w) term by term with cmath, from its definition, each angle
+    pi (u k^2 + v k)/w taken mod 2 pi in exact arithmetic first."""
+    turns = (Fraction(u * k * k + Fraction(v) * k, 2 * w) % 1 for k in range(abs(w)))
+    return sum(cmath.exp(2j * pi * float(t)) for t in turns)
+
+
+@pytest.mark.parametrize("w", [*range(1, 41), -1, -2, -7, -40])
+def test_array_gauss_sums_agree_with_the_scalar_ones(w):
+    # every (u, v) mod 2|w| in one call, against the scalar call per (u, v)
+    # and the sum from the definition
+    period = 2 * abs(w)
+    u, v = np.divmod(np.arange(period * period), period)
+    got = gauss_sum(u, v, w)
+    scalar = np.array([gauss_sum(int(x), int(y), w) for x, y in zip(u, v)])
+    assert got.shape == u.shape and np.max(np.abs(got - scalar)) <= 1e-12
+    cases = zip(u[::7].tolist(), v[::7].tolist())
+    assert max(abs(gauss_sum(x, y, w) - cmath_gauss_sum(x, y, w)) for x, y in cases) <= 1e-12
+
+
+def test_float_v_gauss_sums_broadcast_as_the_scalar_ones():
+    u = np.arange(-3, 9)[:, None]
+    v = np.array([0.37, -2.5, 1e20, 13.0])
+    got = gauss_sum(u, v, 11)
+    want = [[gauss_sum(int(x), y, 11) for y in v.tolist()] for x in u[:, 0]]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert abs(gauss_sum(2, 0.37, -11) - cmath_gauss_sum(2, 0.37, -11)) <= 1e-12
+
+
+def test_gauss_sum_blocks_leave_its_bytes(monkeypatch):
+    # the terms run left to right whatever the block, so a block of 3
+    # terms gives the bytes of one block of all of them
+    args = [(1, 0, 1000), (7, Fraction(1, 3), -997), (3, 0.37, 500),
+            (np.arange(5)[:, None], np.arange(4), 61)]
+    want = [np.asarray(gauss_sum(*a)).tobytes() for a in args]
+    monkeypatch.setattr(qdft, "_GAUSS_BLOCK", 3)
+    assert [np.asarray(gauss_sum(*a)).tobytes() for a in args] == want
+
+
+def test_gauss_sum_at_a_million_terms_is_within_1e_10():
+    # exact exponent reduction: S(1, 0, w) = sqrt(w) e^{i pi/4}
+    w = 10 ** 6
+    assert abs(gauss_sum(1, 0, w) - sqrt(w) * cmath.exp(1j * pi / 4)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 13, 32])
+@pytest.mark.parametrize("r", [0, Fraction(1, 2), 1, 0.37])
+def test_trace_fra_over_an_array_of_a_has_the_scalar_bytes(d, r):
+    a = np.arange(-1, 2 * d)
+    got = qdft.trace_fra(d, r, a)
+    assert got.tobytes() == np.array([qdft.trace_fra(d, r, int(x)) for x in a]).tobytes()

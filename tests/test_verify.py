@@ -420,3 +420,56 @@ def test_a_doubled_clock_power_fails_the_su2_oracle(monkeypatch):
     monkeypatch.setattr(weyl, "vra_matrix", lambda d, r=0, a=0: real(d, r, 2 * a))
     cases = family_cases("su2.oracle_equivalence")
     assert [x > 0.5 for x in cases] == [a > 0 for k in range(2, 9) for _ in range(3) for a in range(k)]
+
+
+# cases each check yields at --d-max 13 and 32 (seed 0): a change of work
+# changes the benchmark's verify_sweep, so a count may grow only on purpose
+CASE_COUNTS = {
+    "weyl.shift_clock_commutation": (210, 210), "weyl.vra_q_commutation": (105, 105),
+    "weyl.vra_power_and_band_form": (140, 140), "weyl.pauli_trace_orthogonality": (7, 7),
+    "weyl.pauli_composition_law": (1400, 1400), "weyl.sine_product_exact": (280, 280),
+    "weyl.sine_commutator": (280, 280), "weyl.dft_conjugates_shift_to_clock": (7, 7),
+    "weyl.regular_representation": (7, 7), "weyl.sampled_large_dimension": (250, 400),
+    "qdft.unitarity": (360, 2108), "qdft.gaussian_factorization": (270, 1581),
+    "qdft.row_symmetry": (180, 1054), "qdft.hra_diagonalizes_vra": (105, 105),
+    "qdft.fourth_power_identity": (12, 15), "qdft.trace_two_route": (270, 1581),
+    "qdft.determinant_two_route": (54, 54), "qdft.parseval_and_round_trip": (72, 186),
+    "qdft.hadamard_family": (12, 31), "su2.quon_relations": (70, 70),
+    "su2.vra_kth_power": (105, 105), "su2.oracle_equivalence": (105, 105),
+    "su2.closure_and_casimir": (616, 616), "su2.eigenvalue_equation": (609, 609),
+    "su2.cyclic_pseudo_invariance": (35, 35), "su2.overlap_two_route": (1251, 1251),
+    "mub.prime_complete_sets": (768, 768), "mub.gauss_two_route": (5, 5),
+    "mub.composite_three_mub": (2, 2), "mub.composite_negative_control": (1, 1),
+    "mub.dim4_five_bases": (1, 1), "mub.dim4_entanglement_split": (16, 16),
+    "mub.entanglement_bound": (2, 2), "mub.sl_partition": (53, 53),
+    "mub.class_eigenbasis_association": (416, 416), "wigner.threejm_orthogonality": (24, 24),
+    "wigner.fbar_symmetries": (4437, 4437), "wigner.basis_change_unitarity": (6, 6),
+    "wigner.cg_alpha_two_route": (1479, 1479),
+}
+
+
+@pytest.mark.parametrize("d_max", [13, 32])
+def test_every_check_keeps_its_case_count(d_max):
+    counts = {}
+    for suite in SUITES:
+        sweep = verify._Sweep(suite, d_max, random.Random(0) if suite == "weyl"
+                              else np.random.default_rng(0))
+        for inv in INVARIANTS:
+            if suite_of(inv) == suite:
+                counts[inv.name] = sum(1 for _ in inv.cases(sweep))
+    assert counts == {name: pair[d_max == 32] for name, pair in CASE_COUNTS.items()}
+
+
+def test_each_diagonalizes_family_is_decided_once(monkeypatch):
+    # row_symmetry (d <= 13, r in {0, 1}) and hra_diagonalizes_vra (d <= 8,
+    # r in {0, 1/3, 1/2}) share the (d <= 8, r = 0) families: 38 families
+    # in all, each decided by one _diagonalizes call, whichever check asks
+    calls = []
+    real = verify._diagonalizes
+    monkeypatch.setattr(verify, "_diagonalizes", lambda *args: calls.append(1) or real(*args))
+    sweep = verify._Sweep("qdft", 13, np.random.default_rng(0))
+    counts = [sum(1 for _ in inv.cases(sweep)) for inv in INVARIANTS
+              if inv.name in ("qdft.row_symmetry", "qdft.hra_diagonalizes_vra")]
+    assert counts == [180, 105] and len(calls) == 12 * 2 + 7 * 3 - 7
+    assert all(sweep.diagonalizes(range(2, 9), (0,)))
+    assert len(calls) == 38

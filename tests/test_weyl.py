@@ -477,3 +477,29 @@ def test_sampled_large_d_identities(d):
         g2 = tuple(rng.randrange(d) for _ in range(3))
         lhs = pauli_element_matrix(d, g) @ pauli_element_matrix(d, g2)
         assert lhs == pauli_element_matrix(d, pauli_compose(d, g, g2))
+
+
+def test_t_labels_past_int64_stack_as_the_scalar_matrix():
+    # -n1 n2 is about 2^64 here: int64 would wrap it to the exponents
+    # [9 3 7 1 5] where t_matrix gives [3 7 1 5 9]
+    from mubkit import weyl
+    n1, n2 = 2 ** 32 + 1, 2 ** 32 + 3
+    n, cols, exps = _shift_clock(5, *weyl._t_labels(np.array([n1]), np.array([n2])))
+    want = t_matrix(5, (n1, n2))
+    assert (n, want.modulus) == (10, 10)
+    assert cols.tolist() == [list(want.monomial_view[0])]
+    assert exps.tolist() == [list(want.monomial_view[1])] == [[3, 7, 1, 5, 9]]
+    # below the bound the labels stay int64
+    assert weyl._t_labels(np.array([3]), np.array([4]))[2].dtype == np.int64
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 10 ** 20 + 7), Fraction(10 ** 19 + 1, 3),
+                               Fraction(-(2 ** 62), 5), Fraction(1, 3)])
+def test_lambda_ra_labels_past_int64_stack_as_the_scalar_matrices(r):
+    from mubkit import phases, verify
+    d = 7
+    family = verify._lambda_ra(d, r, np.arange(d))
+    one = phases._stack([_shift_clock(d, 0, -1, (d - 1) * (r.numerator + a * r.denominator),
+                                      2 * r.denominator) for a in range(d)])
+    n, cols, exps = phases._join(family, one)
+    assert cols[:d].tolist() == cols[d:].tolist() and exps[:d].tolist() == exps[d:].tolist()
